@@ -425,11 +425,10 @@ let expire_alloca t ~base =
 (* ------------------------------------------------------------------ *)
 (* Invariant checking (paranoid mode)                                  *)
 
-(* Whole-state consistency check, run after every run-time call when
-   [paranoid] is set: refcounts non-negative, epochs monotone, every
-   devptr/shadow backed by a live device block, and every live "dev"
-   block owned by some unit (no orphaned device memory). *)
-let check_invariants t =
+(* Forward half of the consistency check: refcounts non-negative,
+   epochs monotone, every devptr/shadow backed by a live device block,
+   and every live shadow's elements still registered. *)
+let check_units t =
   let dev_mem = t.dev.Device.mem in
   let fail_inv info msg =
     fail t ~op:"checkInvariants" ~addr:info.base ~unit_:(snapshot info) msg
@@ -488,23 +487,43 @@ let check_invariants t =
                      "shadow-array element 0x%x outside every registered unit"
                      p))
             info.arr_elems)
-    t.info;
-  (* Reverse direction: every live device block the driver handed to the
-     run-time ("dev" tag) must still be reachable from some unit. *)
+    t.info
+
+(* Reverse half: every live device block the driver handed out ("dev"
+   tag) must be reachable from some unit of some run-time in [rts]. Run-
+   times sharing one device audit together, so one snapshot serves them
+   all and a sibling's block is not an orphan. *)
+let check_owned dev rts =
   let owned = Hashtbl.create 32 in
-  Avl.iter
-    (fun _ i ->
-      (match i.devptr with Some d -> Hashtbl.replace owned d () | None -> ());
-      match i.arr_shadow with
-      | Some s -> Hashtbl.replace owned s ()
-      | None -> ())
-    t.info;
+  List.iter
+    (fun t ->
+      Avl.iter
+        (fun _ i ->
+          (match i.devptr with Some d -> Hashtbl.replace owned d () | None -> ());
+          match i.arr_shadow with
+          | Some s -> Hashtbl.replace owned s ()
+          | None -> ())
+        t.info)
+    rts;
   List.iter
     (fun (base, size, tag) ->
       if tag = "dev" && not (Hashtbl.mem owned base) then
-        fail t ~op:"checkInvariants" ~addr:base
-          (Printf.sprintf "orphaned device block (%d bytes): leak" size))
-    (Memspace.blocks_snapshot dev_mem)
+        raise
+          (Runtime_error
+             {
+               Errors.op = "checkInvariants";
+               addr = Some base;
+               reason =
+                 Printf.sprintf "orphaned device block (%d bytes): leak" size;
+               unit_ = None;
+               device = None;
+               alloc_map = List.concat_map alloc_map_snapshot rts;
+             }))
+    (Memspace.blocks_snapshot dev.Device.mem)
+
+let check_invariants t =
+  check_units t;
+  check_owned t.dev [ t ]
 
 let post t = if t.paranoid then check_invariants t
 

@@ -166,12 +166,25 @@ val note_cpu_fallback : t -> unit
 
 (** {2 Invariants and diagnostics} *)
 
+val check_units : t -> unit
+(** Forward half of {!check_invariants}, over this run-time's units:
+    refcounts non-negative, epochs within [\[0, global_epoch\]], every
+    devptr/shadow backed by a live device block of sufficient size, and
+    shadow-array elements registered while their parent shadow is live.
+    Raises {!Runtime_error} on the first violation. *)
+
+val check_owned : Cgcm_gpusim.Device.t -> t list -> unit
+(** Reverse half of {!check_invariants}: every live driver-heap
+    (["dev"]) block on the device must be the devptr or shadow array of
+    some unit of some run-time in the list. An "orphan" is a block no
+    listed run-time owns, so run-times sharing one device must be
+    audited together: a block owned by a sibling is not an orphan. Takes
+    one snapshot of the device whatever the list's length. Raises
+    {!Runtime_error} on the first orphan. *)
+
 val check_invariants : t -> unit
-(** Whole-state consistency check: refcounts non-negative, epochs within
-    [\[0, global_epoch\]], every devptr/shadow backed by a live device
-    block of sufficient size, shadow-array elements registered and
-    referenced while their parent shadow is live, and no orphaned
-    device blocks. Raises
+(** Whole-state consistency check of a run-time that has its device to
+    itself: [check_units t] then [check_owned t.dev \[t\]]. Raises
     {!Runtime_error} on the first violation. Runs automatically after
     every run-time call when [paranoid] is set. *)
 

@@ -185,18 +185,22 @@ let warm t ~tenant ~key ~globals ?init () =
   if not ok then drop_entry t e;
   ok
 
+(* Every entry's run-time shares [t.dev], so the orphan check runs once
+   over all of them: one device snapshot per audit, not one per entry. *)
 let check_invariants t =
-  Hashtbl.iter (fun _ e -> Runtime.check_invariants e.e_rt) t.entries
+  Hashtbl.iter (fun _ e -> Runtime.check_units e.e_rt) t.entries;
+  Runtime.check_owned t.dev
+    (Hashtbl.fold (fun _ e acc -> e.e_rt :: acc) t.entries [])
 
 let shutdown t =
   let entries = Hashtbl.fold (fun _ e acc -> e :: acc) t.entries [] in
   List.iter
     (fun e ->
       while Runtime.evict_one e.e_rt do () done;
-      Runtime.check_invariants e.e_rt;
-      let lk = Runtime.leak_report e.e_rt in
-      if lk.resident_nonglobal <> 0 || lk.resident_global <> 0 then
+      (* the leak report's resident counts, without its device snapshot *)
+      if Runtime.resident_units e.e_rt <> 0 then
         failwith "Residency.shutdown: units survived eviction")
     entries;
+  check_invariants t;
   Hashtbl.reset t.entries;
   List.length (Memspace.blocks_snapshot t.dev.Device.mem)

@@ -58,9 +58,14 @@ val evict_lru_unit : ?except:string -> t -> bool
 val cross_evictions : t -> int
 
 val check_invariants : t -> unit
-(** {!Cgcm_runtime.Runtime.check_invariants} on every entry — the
-    daemon's crash-only audit between requests. *)
+(** The daemon's crash-only audit between requests, in two halves:
+    {!Cgcm_runtime.Runtime.check_units} on every entry, then one
+    {!Cgcm_runtime.Runtime.check_owned} over all entries' run-times.
+    Every entry shares the daemon's device, so a driver-heap block is an
+    orphan only when no entry owns it. One device snapshot per audit,
+    whatever the number of entries. *)
 
 val shutdown : t -> int
-(** Evict all warmth, verify per-entry leak reports, and return the
-    number of device blocks still live (0 = clean teardown). *)
+(** Evict all warmth, verify that no entry keeps a resident unit, run
+    the {!check_invariants} audit, and return the number of device
+    blocks still live (0 = clean teardown). *)

@@ -51,6 +51,9 @@ module Interp = Cgcm_interp.Interp
 module Runtime = Cgcm_runtime.Runtime
 module Device = Cgcm_gpusim.Device
 module Memspace = Cgcm_memory.Memspace
+module Mem_backend = Cgcm_runtime.Mem_backend
+module Cost_model = Cgcm_gpusim.Cost_model
+module Polybench = Cgcm_progs.Polybench
 
 let check = Alcotest.check
 
@@ -85,8 +88,19 @@ let reference ~mode source =
   match Hashtbl.find_opt reference_tbl key with
   | Some v -> v
   | None ->
+    let base, backend =
+      match String.index_opt mode '+' with
+      | None -> (mode, Mem_backend.Explicit)
+      | Some i -> (
+        match
+          Mem_backend.of_string
+            (String.sub mode (i + 1) (String.length mode - i - 1))
+        with
+        | Ok bk -> (String.sub mode 0 i, bk)
+        | Error e -> Alcotest.fail e)
+    in
     let exec =
-      match mode with
+      match base with
       | "seq" -> Pipeline.Sequential
       | "unopt" -> Pipeline.Cgcm_unoptimized
       | "opt" -> Pipeline.Cgcm_optimized
@@ -94,7 +108,7 @@ let reference ~mode source =
       | "unified" -> Pipeline.Unified_oracle Pipeline.Optimized
       | m -> Alcotest.failf "unknown mode %s" m
     in
-    let _, r = Pipeline.run exec source in
+    let _, r = Pipeline.run ~backend exec source in
     let v = (r.Interp.output, Int64.to_int r.Interp.exit_code) in
     Hashtbl.replace reference_tbl key v;
     v
@@ -446,6 +460,146 @@ let test_cross_tenant_eviction_write_back () =
     (Bytes.equal (Memspace.read_bytes dev.Device.mem devptr size) scribble);
   Residency.check_invariants res;
   check Alcotest.int "clean teardown" 0 (Residency.shutdown res)
+
+(* ------------------------------------------------------------------ *)
+(* The shared-device audit                                             *)
+
+(* Every warm entry's run-time shares the daemon's device, so the audit
+   checks each entry's units and then asks, once for the whole device,
+   whether every driver-heap block belongs to some entry. *)
+
+let audit_fails ~affix res =
+  match Residency.check_invariants res with
+  | exception Runtime.Runtime_error e ->
+    check Alcotest.bool
+      (Printf.sprintf "reason mentions %S: %s" affix e.Errors.reason)
+      true
+      (contains ~affix e.Errors.reason);
+    e
+  | () -> Alcotest.failf "the audit missed a %s" affix
+
+let warm_many n =
+  let res = Residency.create ~device_mem:max_int () in
+  let keys =
+    List.init n (fun i -> (Printf.sprintf "t%d" (i mod 7), Printf.sprintf "k%03d" i))
+  in
+  List.iter
+    (fun (tenant, key) ->
+      check Alcotest.bool "warms" true
+        (Residency.warm res ~tenant ~key ~globals:[ ("g", 64); ("h", 24) ] ()))
+    keys;
+  (res, keys)
+
+let test_shared_audit_many_entries () =
+  let res, _ = warm_many 300 in
+  check Alcotest.int "300 warm entries" 300 (Residency.warm_entries res);
+  Residency.check_invariants res;
+  check Alcotest.int "clean teardown" 0 (Residency.shutdown res)
+
+let test_shared_audit_orphan () =
+  let res, _ = warm_many 40 in
+  let dev = Residency.device res in
+  let d, _ = Device.mem_alloc dev ~now:0.0 128 in
+  let e = audit_fails ~affix:"orphaned device block" res in
+  check Alcotest.(option int) "orphan address" (Some d) e.Errors.addr;
+  ignore (Device.mem_free dev ~now:0.0 d : float);
+  Residency.check_invariants res;
+  check Alcotest.int "clean teardown" 0 (Residency.shutdown res)
+
+let test_shared_audit_dangling () =
+  let res, keys = warm_many 60 in
+  let dev = Residency.device res in
+  (* the first, a middle and the last entry warmed: the forward check
+     runs on every entry, so the owner's position does not matter *)
+  List.iter
+    (fun i ->
+      let tenant, key = List.nth keys i in
+      let entry = Option.get (Residency.find res ~tenant ~key) in
+      let rt = Residency.entry_runtime entry in
+      let pref, base, _ = List.hd (Residency.entry_units entry) in
+      let info = Runtime.lookup_unit rt base in
+      Memspace.free dev.Device.mem (Option.get info.Runtime.devptr);
+      let e = audit_fails ~affix:"dangling devptr" res in
+      check Alcotest.(option int) "unit base" (Some base) e.Errors.addr;
+      check Alcotest.(option string) "owning entry's global" (Some pref)
+        (Option.bind e.Errors.unit_ (fun u -> u.Errors.u_global));
+      (* repair: the unit is simply no longer resident *)
+      info.Runtime.devptr <- None;
+      Residency.check_invariants res)
+    [ 0; 30; 59 ];
+  check Alcotest.int "clean teardown" 0 (Residency.shutdown res)
+
+let test_check_owned_siblings () =
+  let dev = Device.create Cost_model.default in
+  let runtime name =
+    let host =
+      Memspace.create ~name ~range_lo:0x10_0000 ~range_hi:0x4000_0000
+    in
+    let rt = Runtime.create ~host ~dev () in
+    let base = Memspace.alloc host 32 in
+    Runtime.register_heap rt ~base ~size:32;
+    ignore (Runtime.map rt base : int);
+    rt
+  in
+  let a = runtime "a" and b = runtime "b" in
+  Runtime.check_units a;
+  Runtime.check_units b;
+  Runtime.check_owned dev [ a; b ];
+  (* audited alone, each run-time sees its sibling's block as an orphan:
+     the verdict the old per-run-time reverse check gave on a shared
+     device *)
+  List.iter
+    (fun rt ->
+      match Runtime.check_invariants rt with
+      | exception Runtime.Runtime_error e ->
+        check Alcotest.bool "orphan" true
+          (contains ~affix:"orphaned device block" e.Errors.reason)
+      | () -> Alcotest.fail "a sibling's block went unnoticed")
+    [ a; b ]
+
+(* Nonce-unique PolyBench requests across the explicit and paged
+   backends: every request is a cache miss, every explicit device run
+   adds a warm entry, and the audit after each step covers them all. *)
+let test_engine_audit_growing_residency () =
+  let eng = Engine.create () in
+  let gens =
+    [|
+      (fun n -> Polybench.gemm ~n ());
+      (fun n -> Polybench.atax ~n ());
+      (fun n -> Polybench.bicg ~n ());
+      (fun n -> Polybench.gesummv ~n ());
+      (fun n -> Polybench.doitgen ~n ());
+      (fun n -> Polybench.covariance ~n ());
+      (fun n -> Polybench.lu ~n ());
+      (fun n -> Polybench.twomm ~n ());
+    |]
+  in
+  let modes = [| "opt"; "unopt"; "opt+paged"; "seq" |] in
+  let explicit = ref 0 in
+  for k = 0 to 63 do
+    let mode = modes.(k mod 4) in
+    let source =
+      Printf.sprintf "// nonce %d\n%s" k
+        (gens.(k / 4 mod 8) (6 + (k / 32)))
+    in
+    let req =
+      request ~id:k ~tenant:(Printf.sprintf "t%d" (k mod 3)) ~mode source
+    in
+    let got = ref None in
+    check Alcotest.bool "queued" true
+      (Engine.submit eng req (fun r -> got := Some r) = `Queued);
+    check Alcotest.bool "stepped" true (Engine.step eng);
+    let r = Option.get !got in
+    check_status (Printf.sprintf "request %d (%s)" k mode) Wire.Ok r;
+    check Alcotest.string "miss" "miss" r.Wire.rp_cache;
+    let want_output, want_exit = reference ~mode source in
+    check Alcotest.string "output" want_output r.Wire.rp_output;
+    check Alcotest.int "exit code" want_exit r.Wire.rp_exit_code;
+    if mode = "opt" || mode = "unopt" then incr explicit;
+    check Alcotest.int "one warm entry per explicit request" !explicit
+      (Residency.warm_entries (Engine.residency eng))
+  done;
+  check Alcotest.int "clean shutdown" 0 (Engine.shutdown eng)
 
 (* ------------------------------------------------------------------ *)
 (* The soak: the issue's acceptance scenario, engine-level             *)
@@ -1239,6 +1393,16 @@ let tests =
       test_circuit_breaker_lifecycle;
     Alcotest.test_case "cross-tenant eviction writes back byte-exactly" `Quick
       test_cross_tenant_eviction_write_back;
+    Alcotest.test_case "shared audit: 300 warm entries audit clean" `Quick
+      test_shared_audit_many_entries;
+    Alcotest.test_case "shared audit: unowned dev block is an orphan" `Quick
+      test_shared_audit_orphan;
+    Alcotest.test_case "shared audit: freed warm block is a dangling devptr"
+      `Quick test_shared_audit_dangling;
+    Alcotest.test_case "shared audit: sibling run-times own their blocks"
+      `Quick test_check_owned_siblings;
+    Alcotest.test_case "engine audit over a growing residency" `Quick
+      test_engine_audit_growing_residency;
     Alcotest.test_case "soak: faults, sheds, deadlines, bit-identity" `Slow
       test_soak;
     Alcotest.test_case "live daemon round-trip on the socket" `Quick
