@@ -367,6 +367,16 @@ let load_globals mc =
       mc.m.Ir.globals
   | None -> ()
 
+(* Paged backend: a host-side touch that migrated pages. The pages may
+   hold kernel output: stall for the device, then pay the migration
+   before the access completes. *)
+let paged_host_fault mc pg cyc =
+  flush_time mc;
+  mc.now <- Device.sync mc.dev ~now:mc.now;
+  Paged.note_host_migration pg ~start:mc.now ~cycles:cyc
+    ~pages:(Paged.last_host_fault_pages pg);
+  mc.now <- mc.now +. cyc
+
 (* Paged backend: note an access to [addr, addr+len) and charge any
    host-side migration synchronously. Kernel-side fault time pools
    inside [pg] until the launch ends (Paged.flush_launch). *)
@@ -374,15 +384,15 @@ let paged_touch mc pg ~addr ~len =
   if mc.in_kernel then ignore (Paged.touch pg ~kernel:true ~addr ~len)
   else begin
     let cyc = Paged.touch pg ~kernel:false ~addr ~len in
-    if cyc > 0.0 then begin
-      (* the migrated pages may hold kernel output: stall for the
-         device, then pay the migration before the access completes *)
-      flush_time mc;
-      mc.now <- Device.sync mc.dev ~now:mc.now;
-      Paged.note_host_migration pg ~start:mc.now ~cycles:cyc
-        ~pages:(Paged.last_host_fault_pages pg);
-      mc.now <- mc.now +. cyc
-    end
+    if cyc > 0.0 then paged_host_fault mc pg cyc
+  end
+
+(* [paged_touch] through a decoded load/store site's residency cache. *)
+let paged_touch_site mc pg site ~addr ~len =
+  if mc.in_kernel then ignore (Paged.touch_site pg site ~kernel:true ~addr ~len)
+  else begin
+    let cyc = Paged.touch_site pg site ~kernel:false ~addr ~len in
+    if cyc > 0.0 then paged_host_fault mc pg cyc
   end
 
 (* ------------------------------------------------------------------ *)
@@ -2008,9 +2018,10 @@ and decode_load mc avail d ty a : cinstr =
         | Some pg ->
           (* Paged path: the touch (and any host-side migration stall)
              happens before the access, where the hardware would fault. *)
+          let site = Paged.site () in
           fun c ->
             let addr = fa c in
-            paged_touch mc pg ~addr ~len;
+            paged_touch_site mc pg site ~addr ~len;
             let h = !cache in
             let h =
               if Memspace.handle_valid h c.sp addr len then h
@@ -2232,9 +2243,10 @@ and decode_store_seq mc avail ty a v : cinstr =
        bytes move. *)
     let paged_store (h_store : ctx -> Memspace.handle -> int -> unit) len pg :
         cinstr =
+      let site = Paged.site () in
       fun c ->
         let addr = fa c in
-        paged_touch mc pg ~addr ~len;
+        paged_touch_site mc pg site ~addr ~len;
         h_store c (acquire c addr len) addr
     in
     (* tree-engine order: address, track, value (with its unboxing
@@ -2501,6 +2513,12 @@ let run ?(config = default_config) (m : Ir.modul) : result =
   let res = call_func mc main [||] in
   flush_time mc;
   mc.now <- Device.sync mc.dev ~now:mc.now;
+  (match paged with
+  | Some pg when config.paranoid -> (
+    match Paged.check_invariants pg with
+    | Ok () -> ()
+    | Error e -> error "paged accounting invariant violated: %s" e)
+  | _ -> ());
   let st = Device.stats dev in
   {
     exit_code = (match res with Some (VI i) -> i | _ -> 0L);

@@ -68,7 +68,9 @@ type config = {
       (** deterministic driver fault plan ([None] = infallible driver);
           the run-time recovers via eviction, retry and CPU fallback *)
   paranoid : bool;
-      (** re-run {!Runtime.check_invariants} after every run-time call *)
+      (** re-run {!Runtime.check_invariants} after every run-time call,
+          and check {!Cgcm_runtime.Paged.check_invariants} at the end of
+          a paged run *)
   sanitize : bool;
       (** shadow-memory coherence sanitizer: mirror every allocation unit
           with an independent byte-version map and raise

@@ -21,7 +21,17 @@
    like the asynchrony of the explicit model. Host-side faults are
    synchronous: the CPU stalls for outstanding kernels (the migrated
    page may hold their output), then pays the migration before the
-   access completes. *)
+   access completes.
+
+   {!touch} walks the page table and is the only code that changes a
+   page's residence. The interpreter's load/store sites call
+   {!touch_site} instead: each site keeps an inline cache of the page it
+   last touched, the side it touched it from and the table's migration
+   generation [gen]. [fault] bumps [gen] on every migration, so a cached
+   page is still resident on the cached side exactly while [gen] is
+   unchanged; a hit then only counts the touch. First-touch populates
+   and [place_host] add pages that are not in the table yet, which can
+   never be a cached page, so they leave [gen] alone. *)
 
 type side = Host | Device_side
 
@@ -45,9 +55,7 @@ type t = {
   mutable last_host_fault_pages : int;
       (* pages the most recent host-side faulting touch migrated; read
          by the interpreter's accounting hook right after the touch *)
-  (* one-entry cache: streaming accesses hit the same page repeatedly *)
-  mutable last_page : int;
-  mutable last_side : side;
+  mutable gen : int;  (* bumped by every migration; validates site caches *)
 }
 
 let create ~dev (cost : Cgcm_gpusim.Cost_model.t) =
@@ -72,8 +80,7 @@ let create ~dev (cost : Cgcm_gpusim.Cost_model.t) =
     pending_cycles = 0.0;
     pending_faults = 0;
     last_host_fault_pages = 0;
-    last_page = -1;
-    last_side = Host;
+    gen = 0;
   }
 
 let stats t = t.stats
@@ -81,6 +88,7 @@ let stats t = t.stats
 (* Migrate one page to [target], charging the toucher's side. *)
 let fault t page target =
   Hashtbl.replace t.table page target;
+  t.gen <- t.gen + 1;
   (match target with
   | Device_side ->
     t.stats.faults_to_dev <- t.stats.faults_to_dev + 1;
@@ -104,36 +112,59 @@ let touch_page t page target =
    returns the cycles the *host* must pay right now (always 0.0 for
    kernel-side touches, whose cost lands in the pending pool). *)
 let touch t ~kernel ~addr ~len =
+  t.stats.touches <- t.stats.touches + 1;
   let target = if kernel then Device_side else Host in
-  let p0 = addr / t.page_bytes in
-  if p0 = t.last_page && target = t.last_side && len <= 1 then begin
+  let cost = ref 0.0 and faulted = ref 0 in
+  for p = addr / t.page_bytes to (addr + max 1 len - 1) / t.page_bytes do
+    let c = touch_page t p target in
+    if c > 0.0 then begin
+      cost := !cost +. c;
+      incr faulted
+    end
+  done;
+  if !faulted = 0 then 0.0
+  else if kernel then begin
+    t.pending_cycles <- t.pending_cycles +. !cost;
+    t.pending_faults <- t.pending_faults + !faulted;
+    0.0
+  end
+  else begin
+    t.last_host_fault_pages <- !faulted;
+    !cost
+  end
+
+(* A load/store site's inline cache: the byte range [lo, hi) of the page
+   it last touched, the side it touched it from, and [gen] at that time.
+   [gen = -1] never matches, so a fresh site misses. *)
+type site = {
+  mutable lo : int;
+  mutable hi : int;
+  mutable kernel : bool;
+  mutable site_gen : int;
+}
+
+let site () = { lo = 0; hi = 0; kernel = false; site_gen = -1 }
+
+(* [touch] through a site's cache. A hit — no migration since the site
+   cached its page, same side, access inside that page — is a touch
+   [touch] would charge nothing for, so it only counts it. A miss runs
+   [touch] and caches the access's first page, which the walk has just
+   left resident on the toucher's side. *)
+let touch_site t s ~kernel ~addr ~len =
+  if
+    s.site_gen = t.gen && s.kernel = kernel && addr >= s.lo && addr < s.hi
+    && addr + len <= s.hi
+  then begin
     t.stats.touches <- t.stats.touches + 1;
     0.0
   end
   else begin
-    t.stats.touches <- t.stats.touches + 1;
-    let p1 = (addr + max 1 len - 1) / t.page_bytes in
-    let cost = ref 0.0 and faulted = ref 0 in
-    for p = p0 to p1 do
-      let c = touch_page t p target in
-      if c > 0.0 then begin
-        cost := !cost +. c;
-        incr faulted
-      end
-    done;
-    t.last_page <- p1;
-    t.last_side <- target;
-    if kernel then begin
-      if !faulted > 0 then begin
-        t.pending_cycles <- t.pending_cycles +. !cost;
-        t.pending_faults <- t.pending_faults + !faulted
-      end;
-      0.0
-    end
-    else begin
-      t.last_host_fault_pages <- !faulted;
-      !cost
-    end
+    let cycles = touch t ~kernel ~addr ~len in
+    s.lo <- addr / t.page_bytes * t.page_bytes;
+    s.hi <- s.lo + t.page_bytes;
+    s.kernel <- kernel;
+    s.site_gen <- t.gen;
+    cycles
   end
 
 (* Pre-place pages on the host without cost: module globals carry
@@ -186,8 +217,32 @@ let note_host_migration t ~start ~cycles ~pages =
     ~start ~finish:(start +. cycles) ~label:"page-out"
     ~bytes:(pages * t.page_bytes)
 
+(* The accounting invariants: every migration moves exactly one page,
+   every page in the table was counted once when it was first touched,
+   and no device fault time is left unflushed once no kernel runs. *)
+let check_invariants t =
+  let s = t.stats in
+  if s.bytes_to_dev <> s.faults_to_dev * t.page_bytes then
+    Error
+      (Printf.sprintf "bytes_to_dev %d <> faults_to_dev %d * page_bytes %d"
+         s.bytes_to_dev s.faults_to_dev t.page_bytes)
+  else if s.bytes_to_host <> s.faults_to_host * t.page_bytes then
+    Error
+      (Printf.sprintf "bytes_to_host %d <> faults_to_host %d * page_bytes %d"
+         s.bytes_to_host s.faults_to_host t.page_bytes)
+  else if s.touched_pages <> Hashtbl.length t.table then
+    Error
+      (Printf.sprintf "touched_pages %d <> %d pages in the table"
+         s.touched_pages (Hashtbl.length t.table))
+  else if t.pending_cycles <> 0.0 || t.pending_faults <> 0 then
+    Error
+      (Printf.sprintf "%d device faults (%g cycles) left unflushed"
+         t.pending_faults t.pending_cycles)
+  else Ok ()
+
 let fault_cost t = t.fault_cost
 let page_bytes t = t.page_bytes
 let last_host_fault_pages t = t.last_host_fault_pages
+let pending t = (t.pending_cycles, t.pending_faults)
 let total_faults t = t.stats.faults_to_dev + t.stats.faults_to_host
 let migrated_bytes t = t.stats.bytes_to_dev + t.stats.bytes_to_host

@@ -15,7 +15,13 @@
     when the launch ends ({!flush_launch}); host-side faults are
     synchronous — the caller syncs the device, then pays the returned
     cycles. Not a coherence protocol: the interpreter reads and writes
-    one shared memspace, so this module is pure accounting. *)
+    one shared memspace, so this module is pure accounting.
+
+    {!touch} is the reference walk over the page table and the only
+    operation that migrates pages. {!touch_site} puts a per-site inline
+    cache in front of it for the interpreter's load/store sites; it
+    returns the same cycles and leaves the same accounting as {!touch}
+    on every call. *)
 
 type t
 
@@ -39,8 +45,32 @@ val touch : t -> kernel:bool -> addr:int -> len:int -> float
     (the pages may hold kernel output), advance its clock by the return
     value, and report the stall via {!note_host_migration}. *)
 
+type site
+(** The inline cache of one access site: the page it last touched, the
+    side it touched it from, and the migration generation at that time.
+    A site must only ever be used with one {!t}. *)
+
+val site : unit -> site
+(** A fresh, empty site: its first touch misses. *)
+
+val touch_site : t -> site -> kernel:bool -> addr:int -> len:int -> float
+(** [touch] through [site]'s cache. Every migration bumps the
+    generation of [t], so a cached page is resident on the cached side
+    while the generation is unchanged. If it is, the touch comes from
+    the same side and [[addr, addr+len)] lies inside the cached page,
+    the call is a hit: it counts the touch and returns [0.0] without a
+    division or a table lookup. Otherwise it runs {!touch} and caches
+    the access's first page, which is now resident on the toucher's
+    side. First-touch populates
+    and {!place_host} only add pages not yet in the table, which no
+    site can have cached, so they leave the generation alone. *)
+
 val last_host_fault_pages : t -> int
 (** Pages migrated by the most recent host-side faulting touch. *)
+
+val pending : t -> float * int
+(** Device-side fault cycles and pages pooled since the last
+    {!flush_launch}. *)
 
 val note_host_migration : t -> start:float -> cycles:float -> pages:int -> unit
 (** Record a host-side migration in the device's transfer accounting and
@@ -55,6 +85,12 @@ val flush_launch : t -> unit
 (** Flush device-side fault time accumulated during a kernel into the
     device timeline (busy window, transfer stats, trace). Call when the
     launch's driver work completes. *)
+
+val check_invariants : t -> (unit, string) result
+(** The accounting invariants: migrated bytes are faults times
+    [page_bytes] in each direction, [touched_pages] equals the number of
+    pages in the table, and no device fault time awaits a flush. The
+    last one holds only between launches. *)
 
 val fault_cost : t -> float
 (** Full migration cost of one page, either direction. *)

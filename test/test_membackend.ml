@@ -163,6 +163,188 @@ let prop_host_cost =
       c = float_of_int st.Paged.faults_to_host *. fault_cost)
 
 (* ------------------------------------------------------------------ *)
+(* Per-site residency caches: [touch_site] must be indistinguishable
+   from the uncached [touch] walk on every call. *)
+
+type site_op =
+  | Touch of int * bool * int * int  (* site, kernel, addr, len *)
+  | Place of int * int  (* place_host addr, len *)
+  | Flush
+
+(* Few pages and few sites, so sites re-hit their cached page, sides
+   ping-pong and accesses straddle pages; addresses cluster at page
+   edges, and 96 is a non-power-of-two page size. *)
+let site_ops_gen =
+  QCheck2.Gen.(
+    let* page_bytes = oneofl [ 96; 64; 4096 ] in
+    let* nsites = int_range 1 6 in
+    let* pages = int_range 1 6 in
+    let addr =
+      map2
+        (fun page off -> (page * page_bytes) + off)
+        (int_bound (pages - 1))
+        (oneof
+           [ oneofl [ 0; page_bytes - 8; page_bytes - 1 ];
+             int_bound (page_bytes - 1) ])
+    in
+    let op =
+      frequency
+        [
+          ( 12,
+            map
+              (fun (site, kernel, addr, len) -> Touch (site, kernel, addr, len))
+              (quad (int_bound (nsites - 1)) bool addr
+                 (oneof [ oneofl [ 0; 1; 8 ]; int_range 1 (2 * page_bytes) ])) );
+          ( 1,
+            map2
+              (fun addr len -> Place (addr, len))
+              addr (int_range 1 page_bytes) );
+          (1, return Flush);
+        ]
+    in
+    let* ops = list_size (int_range 1 120) op in
+    return (page_bytes, nsites, ops))
+
+let site_ops_print (page_bytes, nsites, ops) =
+  Printf.sprintf "page_bytes=%d sites=%d [%s]" page_bytes nsites
+    (String.concat "; "
+       (List.map
+          (function
+            | Touch (s, k, a, l) ->
+              Printf.sprintf "touch s%d %s %d+%d" s
+                (if k then "kernel" else "host") a l
+            | Place (a, l) -> Printf.sprintf "place %d+%d" a l
+            | Flush -> "flush")
+          ops))
+
+let paged_with ~page_bytes =
+  let cost = { Cost_model.default with Cost_model.page_bytes } in
+  Paged.create ~dev:(Device.create cost) cost
+
+let prop_site_cache_transparent =
+  QCheck2.Test.make ~name:"per-site caches match the uncached touch walk"
+    ~count:500 ~print:site_ops_print site_ops_gen
+    (fun (page_bytes, nsites, ops) ->
+      let cached = paged_with ~page_bytes and plain = paged_with ~page_bytes in
+      let sites = Array.init nsites (fun _ -> Paged.site ()) in
+      let same () =
+        Paged.stats cached = Paged.stats plain
+        && Paged.pending cached = Paged.pending plain
+        && Paged.last_host_fault_pages cached
+           = Paged.last_host_fault_pages plain
+      in
+      List.for_all
+        (fun op ->
+          let agree =
+            match op with
+            | Touch (site, kernel, addr, len) ->
+              Paged.touch_site cached sites.(site) ~kernel ~addr ~len
+              = Paged.touch plain ~kernel ~addr ~len
+            | Place (addr, len) ->
+              Paged.place_host cached ~addr ~len;
+              Paged.place_host plain ~addr ~len;
+              true
+            | Flush ->
+              Paged.flush_launch cached;
+              Paged.flush_launch plain;
+              true
+          in
+          agree && same ())
+        ops
+      &&
+      (Paged.flush_launch cached;
+       Paged.flush_launch plain;
+       Paged.check_invariants cached = Ok ()
+       && Paged.check_invariants plain = Ok ()))
+
+(* The case the migration generation exists for: site A caches page P
+   from the host, site B migrates P to the device, and A's next host
+   touch must see the stale entry and pay the migration back. *)
+let site_cache_stale_entry () =
+  let pg = paged_with ~page_bytes:4096 in
+  let a = Paged.site () and b = Paged.site () in
+  let touch site ~kernel = Paged.touch_site pg site ~kernel ~addr:8200 ~len:8 in
+  check (Alcotest.float 0.0) "first host touch populates free" 0.0
+    (touch a ~kernel:false);
+  check (Alcotest.float 0.0) "host re-touch at A is free" 0.0
+    (touch a ~kernel:false);
+  check (Alcotest.float 0.0) "kernel touch at B pools its fault" 0.0
+    (touch b ~kernel:true);
+  check Alcotest.int "B migrated P to the device" 1
+    (Paged.stats pg).Paged.faults_to_dev;
+  let before = (Paged.stats pg).Paged.faults_to_host in
+  check (Alcotest.float 0.0) "host touch at A pays one migration"
+    (Paged.fault_cost pg) (touch a ~kernel:false);
+  check Alcotest.int "faults_to_host up by one" (before + 1)
+    (Paged.stats pg).Paged.faults_to_host;
+  check Alcotest.int "one page migrated back" 1 (Paged.last_host_fault_pages pg);
+  check Alcotest.int "every touch counted" 4 (Paged.stats pg).Paged.touches
+
+(* Golden opt+paged accounting for the 24-program suite, recorded before
+   the per-site caches existed: caching may speed the touches up, never
+   move a touch, a fault or a cycle. Each row: touches, touched_pages,
+   faults_to_dev, faults_to_host, bytes_to_dev, bytes_to_host, wall
+   cycles, exit code. The runs are paranoid, so each one also passes
+   [Paged.check_invariants] at the end. *)
+let paged_suite_golden_rows =
+  [
+    ("adi", 2702976, 14, 14, 5, 57344, 20480, 0x1.0af4678e38e3fp+22, 0L);
+    ("atax", 82432, 33, 33, 1, 135168, 4096, 0x1.6b6eb38e38e3ap+20, 0L);
+    ("bicg", 82688, 34, 34, 2, 139264, 8192, 0x1.80202e38e38e4p+20, 0L);
+    ("correlation", 420048, 21, 21, 11, 86016, 45056, 0x1.b4fa238e38e39p+20, 0L);
+    ("covariance", 414864, 21, 21, 11, 86016, 45056, 0x1.b36d8e38e38e4p+20, 0L);
+    ("doitgen", 733248, 56, 56, 27, 229376, 110592, 0x1.dd926ffffffffp+21, 0L);
+    ("gemm", 2885120, 74, 74, 25, 303104, 102400, 0x1.237fa684bda14p+22, 0L);
+    ("gemver", 181888, 35, 35, 1, 143360, 4096, 0x1.8418b55555556p+20, 0L);
+    ("gesummv", 98688, 65, 65, 1, 266240, 4096, 0x1.59b622aaaaaabp+21, 0L);
+    ("gramschmidt", 292680, 14, 296, 292, 1212416, 1196032, 0x1.8d023c555555cp+24, 0L);
+    ("jacobi-2d-imper", 1897152, 21, 21, 11, 86016, 45056, 0x1.1968e2aaaaaaap+21, 0L);
+    ("seidel", 392592, 8, 8, 8, 32768, 32768, 0x1.16da965ed097bp+22, 0L);
+    ("lu", 355744, 8, 8, 8, 32768, 32768, 0x1.80ef27b425ed9p+20, 0L);
+    ("ludcmp", 360288, 9, 9, 9, 36864, 36864, 0x1.9d093a12f6853p+20, 0L);
+    ("2mm", 3612672, 91, 91, 19, 372736, 77824, 0x1.422d455555556p+22, 0L);
+    ("3mm", 3142400, 88, 88, 13, 360448, 53248, 0x1.243f592f684bdp+22, 0L);
+    ("cfd", 13862269, 62, 1, 10, 4096, 40960, 0x1.a2ddd8e38e383p+21, 0L);
+    ("hotspot", 4184291, 25, 1, 9, 4096, 36864, 0x1.7c4a67b425ed3p+20, 0L);
+    ("kmeans", 828608, 10, 80, 80, 327680, 327680, 0x1.5875d09c71c72p+23, 0L);
+    ("lud", 719297, 9, 1, 9, 4096, 36864, 0x1.a40b171c71c72p+20, 0L);
+    ("nw", 97541, 65, 65, 32, 266240, 131072, 0x1.5bf53fd54bc6fp+22, 0L);
+    ("srad", 9115015, 28, 2, 6, 8192, 24576, 0x1.e2fdcda12f679p+20, 0L);
+    ("fm", 171867, 129, 58, 16, 237568, 65536, 0x1.a6b6aaaaaaaabp+21, 0L);
+    ("blackscholes", 420000, 411, 411, 60, 1683456, 245760, 0x1.5938a15ed097bp+24, 0L);
+  ]
+
+let paged_suite_golden () =
+  check Alcotest.(list string) "golden rows cover the suite in order"
+    (List.map (fun (p : Cgcm_progs.Registry.program) -> p.name)
+       Cgcm_progs.Registry.all)
+    (List.map (fun (n, _, _, _, _, _, _, _, _) -> n) paged_suite_golden_rows);
+  List.iter2
+    (fun (p : Cgcm_progs.Registry.program)
+         (name, touches, pages, to_dev, to_host, b_dev, b_host, wall, code) ->
+      let _, r =
+        Pipeline.run ~paranoid:true ~backend:Mem_backend.Paged
+          Pipeline.Cgcm_optimized p.source
+      in
+      let s = Option.get r.Interp.page_stats in
+      let got =
+        [
+          s.Paged.touches;
+          s.Paged.touched_pages;
+          s.Paged.faults_to_dev;
+          s.Paged.faults_to_host;
+          s.Paged.bytes_to_dev;
+          s.Paged.bytes_to_host;
+        ]
+      in
+      check Alcotest.(list int) (name ^ ": page stats")
+        [ touches; pages; to_dev; to_host; b_dev; b_host ] got;
+      check Alcotest.string (name ^ ": wall cycles") (Printf.sprintf "%h" wall)
+        (Printf.sprintf "%h" r.Interp.wall);
+      check Alcotest.int64 (name ^ ": exit code") code r.Interp.exit_code)
+    Cgcm_progs.Registry.all paged_suite_golden_rows
+
+(* ------------------------------------------------------------------ *)
 (* Byte-size suffix parsing (--device-mem / --page-bytes)              *)
 
 let bytesize_parses () =
@@ -260,6 +442,11 @@ let tests =
     QCheck_alcotest.to_alcotest prop_no_double_charge;
     QCheck_alcotest.to_alcotest prop_single_side_free;
     QCheck_alcotest.to_alcotest prop_host_cost;
+    QCheck_alcotest.to_alcotest prop_site_cache_transparent;
+    Alcotest.test_case "site cache: stale entry after a migration" `Quick
+      site_cache_stale_entry;
+    Alcotest.test_case "paged suite golden (opt+paged)" `Slow
+      paged_suite_golden;
     Alcotest.test_case "bytesize: suffixes parse" `Quick bytesize_parses;
     Alcotest.test_case "bytesize: golden error message" `Quick
       bytesize_error_golden;
