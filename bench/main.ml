@@ -610,8 +610,7 @@ let serve_shards_json () =
   section "cgcm serve --shards: scaling matrix";
   (* tenants=4 lands one tenant per shard at the matrix top (the FNV
      placement of t0..t3 over 4 shards is 1:1), so each shard sees a
-     single-tenant stream and the cross-request batcher gets real runs;
-     max_queue=32 >= burst means nothing sheds at any shard count —
+     single-tenant stream; max_queue=32 >= burst means nothing sheds at any shard count —
      every cell executes the same work, so req/s compare fairly *)
   let tenants = 4 and requests = 160 and burst = 16 and max_queue = 32 in
   let host_cores = Domain.recommended_domain_count () in
@@ -645,10 +644,9 @@ let serve_shards_json () =
         Cgcm_serve.Loadgen.run ~socket_path:socket ~tenants ~requests ~burst
           ~poison:false ~seed ()
       in
-      let stats = Cgcm_serve.Client.stats ~socket_path:socket in
       ignore (Cgcm_serve.Client.shutdown ~socket_path:socket : bool);
       let _, status = Unix.waitpid [] pid in
-      (report, stats, status = Unix.WEXITED 0)
+      (report, status = Unix.WEXITED 0)
   in
   let cells =
     List.concat_map
@@ -674,7 +672,7 @@ let serve_shards_json () =
   let rps_of shards =
     mean
       (List.filter_map
-         (fun ((s, _), (r, _, _)) ->
+         (fun ((s, _), (r, _)) ->
            if s = shards then Some r.Cgcm_serve.Loadgen.lr_rps else None)
          cells)
   in
@@ -684,7 +682,7 @@ let serve_shards_json () =
       (fun shards ->
         let p99s =
           List.filter_map
-            (fun ((s, _), (r, _, _)) ->
+            (fun ((s, _), (r, _)) ->
               if s = shards then Some r.Cgcm_serve.Loadgen.lr_p99_ms else None)
             cells
         in
@@ -692,7 +690,7 @@ let serve_shards_json () =
       !serve_shard_counts
   in
   let within_bounds = List.for_all (fun (_, r) -> r <= 2.0) stability in
-  let all_clean = List.for_all (fun (_, (_, _, clean)) -> clean) cells in
+  let all_clean = List.for_all (fun (_, (_, clean)) -> clean) cells in
   let base_rps = rps_of 1 in
   let top_shards = List.fold_left max 1 !serve_shard_counts in
   let speedup = if base_rps > 0.0 then rps_of top_shards /. base_rps else 0.0 in
@@ -704,9 +702,6 @@ let serve_shards_json () =
     && top_shards >= 2
   in
   let scaling_ok = (not applicable) || speedup >= 2.0 in
-  let int_stat name stats =
-    Cgcm_serve.Json.int_field ~default:0 name stats
-  in
   let json : Cgcm_serve.Json.t =
     Obj
       ([
@@ -731,7 +726,7 @@ let serve_shards_json () =
           ( "matrix",
             Cgcm_serve.Json.Obj
               (List.map
-                 (fun ((shards, seed), (r, stats, clean)) ->
+                 (fun ((shards, seed), (r, clean)) ->
                    ( Printf.sprintf "shards%d_seed%d" shards seed,
                      Cgcm_serve.Json.Obj
                        [
@@ -744,11 +739,6 @@ let serve_shards_json () =
                            Cgcm_serve.Json.Float r.Cgcm_serve.Loadgen.lr_p99_ms );
                          ("ok", Cgcm_serve.Json.Int r.Cgcm_serve.Loadgen.lr_ok);
                          ("shed", Cgcm_serve.Json.Int r.Cgcm_serve.Loadgen.lr_shed);
-                         ("batches", Cgcm_serve.Json.Int (int_stat "batches" stats));
-                         ( "batched_runs",
-                           Cgcm_serve.Json.Int (int_stat "batched_runs" stats) );
-                         ( "warm_coalesced",
-                           Cgcm_serve.Json.Int (int_stat "warm_coalesced" stats) );
                          ("clean_shutdown", Cgcm_serve.Json.Bool clean);
                        ] ))
                  cells) );

@@ -44,15 +44,7 @@ let file_arg =
     & pos 0 (some file) None
     & info [] ~docv:"FILE" ~doc:"CGC source file")
 
-let mode_conv =
-  Arg.enum
-    [
-      ("seq", Pipeline.Sequential);
-      ("unopt", Pipeline.Cgcm_unoptimized);
-      ("opt", Pipeline.Cgcm_optimized);
-      ("ie", Pipeline.Inspector_executor_exec);
-      ("unified", Pipeline.Unified_oracle Pipeline.Optimized);
-    ]
+let mode_conv = Arg.enum Pipeline.executions
 
 let mode_arg =
   Arg.(
@@ -159,6 +151,26 @@ let page_bytes_arg =
         ~doc:
           "Migration granularity for $(b,--mem-backend paged) (default: \
            4KiB). Accepts KiB/MiB/GiB suffixes.")
+
+(* The flags run, report and suite share: which interpreter engine and
+   memory backend execute the program. *)
+type run_opts = {
+  engine : Interp.engine;
+  jobs : int;
+  backend : Mem_backend.kind;
+  page_bytes : int option;
+}
+
+let run_opts_term =
+  let make engine jobs backend page_bytes =
+    let engine, jobs = resolve_engine engine jobs in
+    { engine; jobs; backend; page_bytes }
+  in
+  Term.(const make $ engine_arg $ jobs_arg $ backend_arg $ page_bytes_arg)
+
+let config_of o ?trace ?faults ?device_mem ?sanitize exec =
+  Pipeline.config ?trace ?faults ?device_mem ?sanitize ~engine:o.engine
+    ~jobs:o.jobs ~backend:o.backend ?page_bytes:o.page_bytes exec
 
 let sanitize_arg =
   Arg.(
@@ -392,82 +404,33 @@ let print_result (r : Interp.result) ~trace =
 
 let run_cmd =
   let doc = "Compile and run a CGC program under a given execution mode" in
-  let f file mode trace profile faults device_mem backend page_bytes sanitize
-      chaos engine jobs passes dump_ir pass_stats analysis =
+  let f file mode trace profile faults device_mem o sanitize chaos passes
+      dump_ir pass_stats analysis =
     guarded @@ fun () ->
     let src = read_file file in
     let faults = parse_faults faults in
-    let engine, jobs = resolve_engine engine jobs in
     let plan = parse_passes passes in
-    let dump = parse_dump_ir dump_ir in
-    let stats_out = ref None in
-    let r =
+    let hooks = dump_hooks (parse_dump_ir dump_ir) in
+    let c = Pipeline.compile_for ?plan ~analysis ~hooks mode src in
+    (match chaos with
+    | Some spec ->
+      let intrinsic, n = parse_chaos spec in
       if
-        profile || chaos <> None || plan <> None || dump <> None
-        || pass_stats <> None
-        || analysis <> Manager.Cached
-      then begin
-        (* re-run through the pipeline by hand: profiling needs a custom
-           config, --chaos must mutate the module between compile and
-           run, and the pass-pipeline surfaces need compile-time knobs
-           Pipeline.run does not expose *)
-        let level, imode =
-          match mode with
-          | Pipeline.Sequential -> (Pipeline.Unmanaged, Interp.Unified)
-          | Pipeline.Cgcm_unoptimized -> (Pipeline.Managed, Interp.Split)
-          | Pipeline.Cgcm_optimized -> (Pipeline.Optimized, Interp.Split)
-          | Pipeline.Inspector_executor_exec ->
-            (Pipeline.Unmanaged, Interp.Inspector_executor)
-          | Pipeline.Unified_oracle l -> (l, Interp.Unified)
-        in
-        let parallel =
-          match mode with
-          | Pipeline.Sequential -> Cgcm_frontend.Doall.Off
-          | _ -> Cgcm_frontend.Doall.Auto
-        in
-        let cost =
-          match device_mem with
-          | Some bytes ->
-            { Cgcm_gpusim.Cost_model.default with device_mem_bytes = bytes }
-          | None -> Cgcm_gpusim.Cost_model.default
-        in
-        let cost =
-          match page_bytes with
-          | Some bytes -> { cost with Cgcm_gpusim.Cost_model.page_bytes = bytes }
-          | None -> cost
-        in
-        let c =
-          Pipeline.compile ~parallel ~level ?plan ~analysis
-            ~hooks:(dump_hooks dump) src
-        in
-        stats_out := Some c;
-        (match chaos with
-        | Some spec ->
-          let intrinsic, n = parse_chaos spec in
-          if
-            not
-              (Cgcm_transform.Comm_mgmt.drop_nth_call c.Pipeline.modul
-                 ~intrinsic ~n)
-          then
-            failwith
-              (Fmt.str "--chaos %s: the module has no such call (try a \
-                        smaller N, or --mode unopt/opt)" spec)
-        | None -> ());
-        Interp.run
-          ~config:
-            { Interp.default_config with Interp.mode = imode; cost; trace;
-              profile; faults; sanitize; engine; jobs; backend }
-          c.Pipeline.modul
-      end
-      else
-        snd
-          (Pipeline.run ~trace ?faults ?device_mem ?page_bytes ~backend
-             ~sanitize ~engine ~jobs mode src)
-    in
+        not
+          (Cgcm_transform.Comm_mgmt.drop_nth_call c.Pipeline.modul ~intrinsic
+             ~n)
+      then
+        failwith
+          (Fmt.str
+             "--chaos %s: the module has no such call (try a smaller N, or \
+              --mode unopt/opt)"
+             spec)
+    | None -> ());
+    let config = config_of o ~trace ?faults ?device_mem ~sanitize mode in
+    let config = { config with Interp.profile } in
+    let r = Interp.run ~config c.Pipeline.modul in
     print_result r ~trace;
-    (match (pass_stats, !stats_out) with
-    | Some format, Some c -> print_pass_stats format c
-    | _ -> ());
+    Option.iter (fun format -> print_pass_stats format c) pass_stats;
     if profile then begin
       Fmt.pr "--- per-function dynamic instructions:@.";
       List.iter
@@ -478,9 +441,8 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const f $ file_arg $ mode_arg $ trace_arg $ profile_arg $ faults_arg
-      $ device_mem_arg $ backend_arg $ page_bytes_arg $ sanitize_arg
-      $ chaos_arg $ engine_arg $ jobs_arg $ passes_arg $ dump_ir_arg
-      $ pass_stats_arg $ analysis_arg)
+      $ device_mem_arg $ run_opts_term $ sanitize_arg $ chaos_arg $ passes_arg
+      $ dump_ir_arg $ pass_stats_arg $ analysis_arg)
 
 let level_conv =
   Arg.enum
@@ -544,11 +506,10 @@ let fmt_cmd =
 
 let report_cmd =
   let doc = "Run all execution modes and report speedups over sequential" in
-  let f file faults device_mem backend page_bytes engine jobs =
+  let f file faults device_mem o =
     guarded @@ fun () ->
     let src = read_file file in
     let faults = parse_faults faults in
-    let engine, jobs = resolve_engine engine jobs in
     (* The sequential baseline never touches the device, so faults, the
        memory cap and the backend only shape the managed configurations. *)
     let _, seq = Pipeline.run Pipeline.Sequential src in
@@ -561,9 +522,10 @@ let report_cmd =
     let mismatched = ref false in
     List.iter
       (fun (name, mode) ->
-        let _, r =
-          Pipeline.run ?faults ?device_mem ?page_bytes ~backend ~engine ~jobs
-            mode src
+        let r =
+          Interp.run
+            ~config:(config_of o ?faults ?device_mem mode)
+            (Pipeline.compile_for mode src).Pipeline.modul
         in
         if r.Interp.output <> seq.Interp.output then begin
           mismatched := true;
@@ -578,9 +540,7 @@ let report_cmd =
     if !mismatched then exit 1
   in
   Cmd.v (Cmd.info "report" ~doc)
-    Term.(
-      const f $ file_arg $ faults_arg $ device_mem_arg $ backend_arg
-      $ page_bytes_arg $ engine_arg $ jobs_arg)
+    Term.(const f $ file_arg $ faults_arg $ device_mem_arg $ run_opts_term)
 
 let suite_cmd =
   let doc = "Run the 24-program suite and print the paper's artifacts" in
@@ -596,10 +556,10 @@ let suite_cmd =
       & opt (some (enum [ ("source", `Source); ("ir", `Ir) ])) None
       & info [ "dump" ] ~doc:"With --only: dump the program source or optimized IR")
   in
-  let f only dump backend page_bytes engine jobs =
+  let f only dump o =
     guarded @@ fun () ->
     let module E = Cgcm_core.Experiments in
-    let engine, jobs = resolve_engine engine jobs in
+    let { engine; jobs; backend; page_bytes } = o in
     match only with
     | Some name -> begin
       match Cgcm_progs.Registry.find name with
@@ -638,9 +598,7 @@ let suite_cmd =
         results
   in
   Cmd.v (Cmd.info "suite" ~doc)
-    Term.(
-      const f $ what_arg $ dump_arg $ backend_arg $ page_bytes_arg
-      $ engine_arg $ jobs_arg)
+    Term.(const f $ what_arg $ dump_arg $ run_opts_term)
 
 let run_ir_cmd =
   let doc = "Execute a textual IR module (as produced by 'cgcm ir')" in
@@ -923,11 +881,7 @@ let request_cmd =
     Arg.(
       value
       & opt
-          (enum
-             (List.map
-                (fun m -> (m, m))
-                [ "seq"; "unopt"; "opt"; "ie"; "unified"; "unopt+paged";
-                  "opt+paged"; "unopt+explicit"; "opt+explicit" ]))
+          (enum (List.map (fun m -> (m, m)) Pipeline.mode_names))
           "opt"
       & info [ "mode"; "m" ]
           ~doc:

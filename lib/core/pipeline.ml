@@ -12,6 +12,7 @@ module Ir = Cgcm_ir.Ir
 module Interp = Cgcm_interp.Interp
 module Pass = Cgcm_transform.Pass
 module Manager = Cgcm_analysis.Manager
+module Mem_backend = Cgcm_runtime.Mem_backend
 
 (* How much of CGCM runs after parallelization. *)
 type level =
@@ -81,24 +82,114 @@ let execution_to_string = function
   | Inspector_executor_exec -> "inspector-executor"
   | Unified_oracle _ -> "unified-oracle"
 
-let run ?(parallel = Doall.Auto) ?(cost = Cgcm_gpusim.Cost_model.default)
-    ?(trace = false) ?(engine = Interp.default_config.Interp.engine)
-    ?dirty_spans ?faults ?device_mem ?page_bytes ?(paranoid = false)
-    ?(sanitize = false) ?(jobs = 0)
-    ?(backend = Cgcm_runtime.Mem_backend.Explicit) (execution : execution)
-    (source : string) : compiled * Interp.result =
-  (* Dirty-span transfers are part of the optimized run-time; the
-     unoptimized configuration keeps the paper's whole-unit protocol so
-     the Figure 4 contrast measures what the paper measures. An explicit
-     [dirty_spans] overrides for A/B experiments. *)
-  let dirty_spans =
-    match dirty_spans with
-    | Some b -> b
-    | None -> ( match execution with Cgcm_optimized -> true | _ -> false)
+(* What an execution configuration means — the one place it is said. *)
+type shape = {
+  doall_mode : Doall.mode;
+  compile_level : level;
+  interp_mode : Interp.mode;
+  dirty_spans : bool;
+}
+
+let shape = function
+  | Sequential ->
+    (* No DOALL, no management. Explicitly-written kernels (the manual-
+       parallelization path) still carry launch statements, so the
+       baseline executes in unified memory: kernels run as ordinary host
+       loops and their instructions are charged as CPU time. *)
+    {
+      doall_mode = Doall.Off;
+      compile_level = Unmanaged;
+      interp_mode = Interp.Unified;
+      dirty_spans = false;
+    }
+  | Cgcm_unoptimized ->
+    (* Dirty-span transfers are part of the optimized run-time; the
+       unoptimized configuration keeps the paper's whole-unit protocol so
+       the Figure 4 contrast measures what the paper measures. *)
+    {
+      doall_mode = Doall.Auto;
+      compile_level = Managed;
+      interp_mode = Interp.Split;
+      dirty_spans = false;
+    }
+  | Cgcm_optimized ->
+    {
+      doall_mode = Doall.Auto;
+      compile_level = Optimized;
+      interp_mode = Interp.Split;
+      dirty_spans = true;
+    }
+  | Inspector_executor_exec ->
+    {
+      doall_mode = Doall.Auto;
+      compile_level = Unmanaged;
+      interp_mode = Interp.Inspector_executor;
+      dirty_spans = false;
+    }
+  | Unified_oracle level ->
+    {
+      doall_mode = Doall.Auto;
+      compile_level = level;
+      interp_mode = Interp.Unified;
+      dirty_spans = false;
+    }
+
+(* The names the CLI, the wire protocol, the journal and the chaos
+   harness use for the configurations. *)
+let executions =
+  [
+    ("seq", Sequential);
+    ("unopt", Cgcm_unoptimized);
+    ("opt", Cgcm_optimized);
+    ("ie", Inspector_executor_exec);
+    ("unified", Unified_oracle Optimized);
+  ]
+
+(* Every spelling [parse_mode] accepts that names a distinct run: the
+   split-memory configurations also take a memory-backend suffix. *)
+let mode_names =
+  List.map fst executions
+  @ List.concat_map
+      (fun (name, e) ->
+        if (shape e).interp_mode = Interp.Split then
+          List.map (fun (b, _) -> name ^ "+" ^ b) Mem_backend.all
+        else [])
+      executions
+
+(* A mode is an execution name with an optional "+BACKEND" suffix. The
+   suffix is inert outside the split-memory configurations, like
+   [config]'s [backend]. *)
+let parse_mode m =
+  let base, suffix =
+    match String.index_opt m '+' with
+    | None -> (m, None)
+    | Some i ->
+      (String.sub m 0 i, Some (String.sub m (i + 1) (String.length m - i - 1)))
   in
+  match (List.assoc_opt base executions, suffix) with
+  | None, _ ->
+    Error
+      (Printf.sprintf "unknown mode %S (want %s, optionally suffixed %s)" m
+         (String.concat "|" (List.map fst executions))
+         (String.concat " or "
+            (List.map (fun (b, _) -> "+" ^ b) Mem_backend.all)))
+  | Some e, None -> Ok (e, Mem_backend.Explicit)
+  | Some e, Some s -> Result.map (fun b -> (e, b)) (Mem_backend.of_string s)
+
+let compile_for ?plan ?analysis ?hooks ?verify execution source =
+  let s = shape execution in
+  compile ~parallel:s.doall_mode ~level:s.compile_level ?plan ?analysis ?hooks
+    ?verify source
+
+let config ?(cost = Cgcm_gpusim.Cost_model.default) ?(trace = false)
+    ?(engine = Interp.default_config.Interp.engine) ?dirty_spans ?faults
+    ?device_mem ?page_bytes ?(paranoid = false) ?(sanitize = false)
+    ?(jobs = 0) ?(backend = Mem_backend.Explicit) execution : Interp.config =
+  let s = shape execution in
   let cost =
     match device_mem with
-    | Some bytes -> { cost with Cgcm_gpusim.Cost_model.device_mem_bytes = bytes }
+    | Some bytes ->
+      { cost with Cgcm_gpusim.Cost_model.device_mem_bytes = bytes }
     | None -> cost
   in
   let cost =
@@ -106,38 +197,25 @@ let run ?(parallel = Doall.Auto) ?(cost = Cgcm_gpusim.Cost_model.default)
     | Some bytes -> { cost with Cgcm_gpusim.Cost_model.page_bytes = bytes }
     | None -> cost
   in
-  let config mode =
-    {
-      Interp.default_config with
-      mode;
-      cost;
-      trace;
-      engine;
-      dirty_spans;
-      faults;
-      paranoid;
-      sanitize;
-      jobs;
-      backend;
-    }
+  {
+    Interp.default_config with
+    mode = s.interp_mode;
+    cost;
+    trace;
+    engine;
+    dirty_spans = Option.value dirty_spans ~default:s.dirty_spans;
+    faults;
+    paranoid;
+    sanitize;
+    jobs;
+    backend;
+  }
+
+let run ?cost ?trace ?engine ?dirty_spans ?faults ?device_mem ?page_bytes
+    ?paranoid ?sanitize ?jobs ?backend execution source =
+  let c = compile_for execution source in
+  let config =
+    config ?cost ?trace ?engine ?dirty_spans ?faults ?device_mem ?page_bytes
+      ?paranoid ?sanitize ?jobs ?backend execution
   in
-  match execution with
-  | Sequential ->
-    (* No DOALL, no management. Explicitly-written kernels (the manual-
-       parallelization path) still carry launch statements, so the
-       baseline executes in unified memory: kernels run as ordinary host
-       loops and their instructions are charged as CPU time. *)
-    let c = compile ~parallel:Doall.Off ~level:Unmanaged source in
-    (c, Interp.run ~config:(config Interp.Unified) c.modul)
-  | Cgcm_unoptimized ->
-    let c = compile ~parallel ~level:Managed source in
-    (c, Interp.run ~config:(config Interp.Split) c.modul)
-  | Cgcm_optimized ->
-    let c = compile ~parallel ~level:Optimized source in
-    (c, Interp.run ~config:(config Interp.Split) c.modul)
-  | Inspector_executor_exec ->
-    let c = compile ~parallel ~level:Unmanaged source in
-    (c, Interp.run ~config:(config Interp.Inspector_executor) c.modul)
-  | Unified_oracle level ->
-    let c = compile ~parallel ~level source in
-    (c, Interp.run ~config:(config Interp.Unified) c.modul)
+  (c, Interp.run ~config c.modul)

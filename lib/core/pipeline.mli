@@ -59,8 +59,47 @@ type execution =
 
 val execution_to_string : execution -> string
 
-val run :
-  ?parallel:Doall.mode ->
+(** What an execution configuration means. Every consumer — {!run}, the
+    CLI, the serve engine, the chaos harness — derives its behaviour
+    from this one mapping. *)
+type shape = {
+  doall_mode : Doall.mode;
+      (** DOALL outlining: [Off] for the sequential baseline *)
+  compile_level : level;  (** how much of CGCM the mid-end runs *)
+  interp_mode : Interp.mode;  (** the memory model the interpreter simulates *)
+  dirty_spans : bool;
+      (** run-time transfers move dirty spans (the optimized run-time)
+          rather than whole units (the paper's unoptimized protocol) *)
+}
+
+val shape : execution -> shape
+
+val executions : (string * execution) list
+(** The mode-name table: [seq], [unopt], [opt], [ie], [unified]. *)
+
+val mode_names : string list
+(** Every mode name {!parse_mode} accepts for a distinct run: the
+    {!executions} names, plus the split-memory ones suffixed with each
+    memory backend ([opt+paged], [unopt+explicit], ...). *)
+
+val parse_mode :
+  string -> (execution * Cgcm_runtime.Mem_backend.kind, string) result
+(** Parse [NAME] or [NAME+BACKEND]; no suffix means [Explicit]. The
+    suffix is inert outside the split-memory configurations. The error
+    names the accepted spellings. *)
+
+val compile_for :
+  ?plan:Cgcm_transform.Pass.plan ->
+  ?analysis:Cgcm_analysis.Manager.mode ->
+  ?hooks:Cgcm_transform.Pass.hooks ->
+  ?verify:Cgcm_transform.Pass.verify_policy ->
+  execution ->
+  string ->
+  compiled
+(** {!compile} at the DOALL mode and level the execution's {!shape}
+    names — the compile half of {!run}. *)
+
+val config :
   ?cost:Cgcm_gpusim.Cost_model.t ->
   ?trace:bool ->
   ?engine:Interp.engine ->
@@ -73,17 +112,17 @@ val run :
   ?jobs:int ->
   ?backend:Cgcm_runtime.Mem_backend.kind ->
   execution ->
-  string ->
-  compiled * Interp.result
-(** Compile and execute CGC source under the given configuration.
+  Interp.config
+(** The interpreter configuration for an execution — the run half of
+    {!run}. Fields the options do not name keep
+    {!Interp.default_config}'s values.
 
     [engine] selects the interpreter engine (default
     {!Interp.default_config}'s, i.e. the closure-compiled one).
-    [dirty_spans] overrides the run-time's dirty-span transfer
-    optimisation; by default it is on for {!Cgcm_optimized} and off
-    elsewhere, so {!Cgcm_unoptimized} keeps the paper's whole-unit
-    protocol and the Figure 4 contrast measures what the paper
-    measures.
+    [dirty_spans] overrides the {!shape}'s dirty-span setting for A/B
+    experiments; by default it is on for {!Cgcm_optimized} only, so
+    {!Cgcm_unoptimized} keeps the paper's whole-unit protocol and the
+    Figure 4 contrast measures what the paper measures.
 
     [faults] arms a deterministic driver fault plan and [device_mem]
     caps device memory (see {!Cgcm_gpusim.Faults}); the run-time then
@@ -102,3 +141,21 @@ val run :
     cgcm.* intrinsics are no-ops. [page_bytes] overrides the migration
     granularity ({!Cgcm_gpusim.Cost_model.t.page_bytes}). Program output
     must be bit-identical across backends. *)
+
+val run :
+  ?cost:Cgcm_gpusim.Cost_model.t ->
+  ?trace:bool ->
+  ?engine:Interp.engine ->
+  ?dirty_spans:bool ->
+  ?faults:Cgcm_gpusim.Faults.spec ->
+  ?device_mem:int ->
+  ?page_bytes:int ->
+  ?paranoid:bool ->
+  ?sanitize:bool ->
+  ?jobs:int ->
+  ?backend:Cgcm_runtime.Mem_backend.kind ->
+  execution ->
+  string ->
+  compiled * Interp.result
+(** Compile and execute CGC source under the given configuration:
+    {!compile_for} composed with {!config}, whose options it takes. *)

@@ -572,9 +572,6 @@ let free_locals (env : tyenv) ~(globals : (string, cty) Hashtbl.t)
   ignore (List.fold_left stmt_w [] body);
   !acc
 
-(* Kernels synthesised during a [transform] run, appended to the program. *)
-let pending_kernels : func_decl list ref = ref []
-
 (* Induction-variable reconstruction inside the kernel:
    i = lo ± tid * step, with the names passed as parameters. *)
 let induction_decl (c : canon) ~(tid : expr) ~(lo : string) ~(step : string) =
@@ -619,10 +616,10 @@ let flattenable_inner (env : tyenv) (c : canon) (body : stmt list) :
       end)
   | _ -> None
 
-let outline ~(report : report) ~(globals : (string, cty) Hashtbl.t)
-    ~(fresh : unit -> string) ~(fname : string) ~(manual : bool)
-    (env : tyenv) (c : canon) (body : stmt list) ~(named_applicable : bool) :
-    stmt =
+let outline ~(report : report) ~(pending : func_decl list ref)
+    ~(globals : (string, cty) Hashtbl.t) ~(fresh : unit -> string)
+    ~(fname : string) ~(manual : bool) (env : tyenv) (c : canon)
+    (body : stmt list) ~(named_applicable : bool) : stmt =
   let kname = fresh () in
   let inner = flattenable_inner env c body in
   let body_for_frees =
@@ -688,7 +685,7 @@ let outline ~(report : report) ~(globals : (string, cty) Hashtbl.t)
   report.notes <-
     { l_func = fname; l_outcome = `Parallelized kname } :: report.notes;
   let launch_args = extra_args @ List.map (fun (x, _) -> Ident x) frees in
-  pending_kernels := kdecl :: !pending_kernels;
+  pending := kdecl :: !pending;
   Launch_stmt (kname, trip, launch_args)
 
 (* ------------------------------------------------------------------ *)
@@ -724,7 +721,9 @@ let transform ~(mode : mode) (p : program) : program * report =
   let report = { kernels = []; notes = [] } in
   if mode = Off then (strip_parallel p, report)
   else begin
-    pending_kernels := [];
+    (* Kernels synthesised by this run, appended to the program; local
+       to the call so concurrent compiles never share it. *)
+    let pending = ref [] in
     let globals : (string, cty) Hashtbl.t = Hashtbl.create 16 in
     List.iter
       (function
@@ -824,7 +823,7 @@ let transform ~(mode : mode) (p : program) : program * report =
                 in
                 let named_applicable = no_ptr_locals && not uses_ptr_global in
                 let launch =
-                  outline ~report ~globals ~fresh ~fname:fd.f_name
+                  outline ~report ~pending ~globals ~fresh ~fname:fd.f_name
                     ~manual:f.parallel
                     ((c.c_var, Int) :: env)
                     c f.body ~named_applicable
@@ -870,6 +869,6 @@ let transform ~(mode : mode) (p : program) : program * report =
           | Func_decl fd -> Func_decl (transform_func fd))
         p
     in
-    let kernels = List.rev_map (fun k -> Func_decl k) !pending_kernels in
+    let kernels = List.rev_map (fun k -> Func_decl k) !pending in
     (p' @ kernels, report)
   end

@@ -745,18 +745,6 @@ let par_kernel_info mc (f : Ir.func) : string list option =
     Hashtbl.replace mc.par_cache f.Ir.fname r;
     r
 
-(* Standalone entry point for the serve batching layer: a module whose
-   every kernel passes the shardability scan has launches with
-   statically-known shapes (promoted allocas only, no nested launches,
-   par-safe callees), so cross-request episodes over it may be fused. *)
-let module_shardable (m : Ir.modul) : bool =
-  let funcs = Hashtbl.create 16 in
-  List.iter (fun (f : Ir.func) -> Hashtbl.replace funcs f.Ir.fname f) m.Ir.funcs;
-  List.for_all
-    (fun (f : Ir.func) ->
-      f.Ir.fkind <> Ir.Kernel || kernel_shardable ~funcs f <> None)
-    m.Ir.funcs
-
 (* Inspector-executor access tracking, shared by both engines. *)
 let track_load mc sp tbl addr =
   let base, _ = Memspace.unit_bounds sp addr in

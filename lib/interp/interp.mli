@@ -131,9 +131,3 @@ val run : ?config:config -> Ir.modul -> result
     compiler's declareGlobal calls), execute [main], and account timing
     per the configuration. *)
 
-val module_shardable : Ir.modul -> bool
-(** Whether every kernel in the module passes the parallel engine's
-    static shardability scan (promoted allocas only, no nested launches,
-    par-safe callees). The serve daemon's batching layer uses this as
-    its compatible-launch-shapes gate before fusing cross-request
-    episodes over a compiled module. *)

@@ -73,13 +73,14 @@ type t = {
 
 let word_size = 8
 
-let next_space_id = ref 0
+(* Handles are validated by space id, so ids must stay unique when
+   spaces are created on several domains at once. *)
+let next_space_id = Atomic.make 0
 
 let create ~name ~range_lo ~range_hi =
-  incr next_space_id;
   {
     name;
-    id = !next_space_id;
+    id = Atomic.fetch_and_add next_space_id 1 + 1;
     range_lo;
     range_hi;
     next = range_lo;

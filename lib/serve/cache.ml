@@ -66,12 +66,6 @@ let add t k v =
   t.tick <- t.tick + 1;
   Hashtbl.replace t.tbl k (v, ref t.tick)
 
-(* Pure lookup: no hit/miss accounting, no LRU touch. The batching
-   layer uses this to sniff eligibility without perturbing the stats a
-   reply will report. *)
-let peek t k =
-  match Hashtbl.find_opt t.tbl k with Some (v, _) -> Some v | None -> None
-
 let find_or_add t k compute =
   match find t k with
   | Some v -> (v, `Hit)

@@ -12,9 +12,6 @@ val create : capacity:int -> ('k, 'v) t
 val find : ('k, 'v) t -> 'k -> 'v option
 (** Counts a hit or a miss and refreshes recency on hit. *)
 
-val peek : ('k, 'v) t -> 'k -> 'v option
-(** Pure lookup: no hit/miss accounting, no recency refresh. *)
-
 val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert (or refresh) an entry, evicting the least-recently-used one
     when at capacity. *)

@@ -14,7 +14,6 @@
 module Pipeline = Cgcm_core.Pipeline
 module Interp = Cgcm_interp.Interp
 module Rng = Cgcm_support.Rng
-module Mem_backend = Cgcm_runtime.Mem_backend
 
 type config = {
   ch_seed : int;
@@ -99,6 +98,9 @@ let plan ~seed ~requests =
 (* ------------------------------------------------------------------ *)
 (* The bit-identity oracle                                             *)
 
+(* Memoized single-shot replies. Module-level state, but it lives only
+   in the fork parent — the driver — and never on a daemon's worker
+   domain. *)
 let reference_tbl : (string, string * int) Hashtbl.t = Hashtbl.create 16
 
 let reference ~mode source =
@@ -106,24 +108,10 @@ let reference ~mode source =
   match Hashtbl.find_opt reference_tbl key with
   | Some v -> v
   | None ->
-    let base, backend =
-      match String.index_opt mode '+' with
-      | None -> (mode, Mem_backend.Explicit)
-      | Some i -> (
-        let b = String.sub mode 0 i in
-        let s = String.sub mode (i + 1) (String.length mode - i - 1) in
-        match Mem_backend.of_string s with
-        | Ok bk -> (b, bk)
-        | Error e -> invalid_arg ("Chaos.reference: " ^ e))
-    in
-    let exec =
-      match base with
-      | "seq" -> Pipeline.Sequential
-      | "unopt" -> Pipeline.Cgcm_unoptimized
-      | "opt" -> Pipeline.Cgcm_optimized
-      | "ie" -> Pipeline.Inspector_executor_exec
-      | "unified" -> Pipeline.Unified_oracle Pipeline.Optimized
-      | m -> invalid_arg ("Chaos.reference: unknown mode " ^ m)
+    let exec, backend =
+      match Pipeline.parse_mode mode with
+      | Ok eb -> eb
+      | Error e -> invalid_arg ("Chaos.reference: " ^ e)
     in
     let _, r = Pipeline.run ~backend exec source in
     let v = (r.Interp.output, Int64.to_int r.Interp.exit_code) in

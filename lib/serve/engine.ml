@@ -89,9 +89,6 @@ type stats = {
   mutable retries : int;
   mutable backoff_total_ms : float;
   mutable circuit_trips : int;
-  mutable batches : int;  (* fused cross-request episodes executed *)
-  mutable batched_runs : int;  (* requests that rode in a fused episode *)
-  mutable warm_coalesced : int;  (* per-request warms saved by fusion *)
 }
 
 let zero_stats () =
@@ -106,9 +103,6 @@ let zero_stats () =
     retries = 0;
     backoff_total_ms = 0.0;
     circuit_trips = 0;
-    batches = 0;
-    batched_runs = 0;
-    warm_coalesced = 0;
   }
 
 (* Cross-shard aggregation: a sharded daemon's global counters are by
@@ -127,10 +121,7 @@ let sum_stats (l : stats list) : stats =
       acc.degraded_runs <- acc.degraded_runs + s.degraded_runs;
       acc.retries <- acc.retries + s.retries;
       acc.backoff_total_ms <- acc.backoff_total_ms +. s.backoff_total_ms;
-      acc.circuit_trips <- acc.circuit_trips + s.circuit_trips;
-      acc.batches <- acc.batches + s.batches;
-      acc.batched_runs <- acc.batched_runs + s.batched_runs;
-      acc.warm_coalesced <- acc.warm_coalesced + s.warm_coalesced)
+      acc.circuit_trips <- acc.circuit_trips + s.circuit_trips)
     l;
   acc
 
@@ -188,9 +179,6 @@ type t = {
       (* suspended during recovery: the journal's initial snapshot
          already covers the state being rebuilt *)
   mutable recovered : recovery option;
-  par_ok : (string, bool) Hashtbl.t;
-      (* per-cache-key shardability verdicts, memoized for the batching
-         eligibility gate *)
 }
 
 let create ?(config = default_config) ?journal () =
@@ -205,7 +193,6 @@ let create ?(config = default_config) ?journal () =
     journal;
     journaling = true;
     recovered = None;
-    par_ok = Hashtbl.create 16;
   }
 
 let config t = t.cfg
@@ -236,63 +223,38 @@ let trips_of t name = (tenant_state t name).t_trips
 (* ------------------------------------------------------------------ *)
 (* Compilation plans and the cross-request cache                       *)
 
-(* Requests name the paper's execution configurations; "opt" and
-   "unified" share a compiled module, so the cache keys by the compile
-   plan, not the request mode.
+(* Requests name the paper's execution configurations in Pipeline's
+   mode table. A mode may carry a memory-backend suffix ("opt+paged"):
+   the backend shapes execution, not compilation, so it rides in the
+   mode string — which lands it in journal compile recipes for free, and
+   recovery rebuilds the identical configuration because the parse is
+   deterministic. *)
+let parse_mode m =
+  match Pipeline.parse_mode m with
+  | Ok eb -> eb
+  | Error e -> raise (Wire.Protocol_error e)
 
-   A mode may carry a memory-backend suffix ("opt+paged"): the backend
-   shapes execution, not compilation, so it rides in the mode string —
-   which lands it in journal compile recipes for free, and recovery
-   rebuilds the identical configuration because this parse is
-   deterministic. The suffix is inert outside the split-memory modes,
-   matching [Pipeline.run]'s [backend] parameter. *)
-let split_mode m =
-  match String.index_opt m '+' with
-  | None -> (m, Mem_backend.Explicit)
-  | Some i -> (
-    let base = String.sub m 0 i in
-    let suffix = String.sub m (i + 1) (String.length m - i - 1) in
-    match Mem_backend.of_string suffix with
-    | Ok bk -> (base, bk)
-    | Error e -> raise (Wire.Protocol_error e))
+(* "opt" and "unified" (and "opt+paged") share a compiled module, so the
+   cache keys by the compile plan, not the request mode. *)
+let cache_key execution source =
+  let s = Pipeline.shape execution in
+  let tag =
+    Printf.sprintf "%s/%s"
+      (match s.Pipeline.doall_mode with Doall.Off -> "off" | _ -> "auto")
+      (match s.Pipeline.compile_level with
+      | Pipeline.Unmanaged -> "unmanaged"
+      | Pipeline.Managed -> "managed"
+      | Pipeline.Optimized -> "optimized")
+  in
+  Digest.to_hex (Digest.string (tag ^ "\x00" ^ source))
 
-let plan_of_mode m =
-  let base, backend = split_mode m in
-  match base with
-  | "seq" -> (Doall.Off, Pipeline.Unmanaged, Interp.Unified, false, backend)
-  | "unopt" -> (Doall.Auto, Pipeline.Managed, Interp.Split, false, backend)
-  | "opt" -> (Doall.Auto, Pipeline.Optimized, Interp.Split, true, backend)
-  | "ie" ->
-    (Doall.Auto, Pipeline.Unmanaged, Interp.Inspector_executor, false, backend)
-  | "unified" -> (Doall.Auto, Pipeline.Optimized, Interp.Unified, false, backend)
-  | _ ->
-    raise
-      (Wire.Protocol_error
-         (Printf.sprintf
-            "unknown mode %S (want seq|unopt|opt|ie|unified, optionally \
-             suffixed +explicit or +paged)"
-            m))
+let cache_key_of_mode ~mode source = cache_key (fst (parse_mode mode)) source
 
-let compile_tag parallel level =
-  Printf.sprintf "%s/%s"
-    (match parallel with Doall.Off -> "off" | _ -> "auto")
-    (match level with
-    | Pipeline.Unmanaged -> "unmanaged"
-    | Pipeline.Managed -> "managed"
-    | Pipeline.Optimized -> "optimized")
-
-let cache_key parallel level source =
-  Digest.to_hex (Digest.string (compile_tag parallel level ^ "\x00" ^ source))
-
-let cache_key_of_mode ~mode source =
-  let parallel, level, _, _, _ = plan_of_mode mode in
-  cache_key parallel level source
-
-let compiled_of t ~mode ~parallel ~level source =
+let compiled_of t ~mode execution source =
   let r =
     Cache.find_or_add t.cache
-      (cache_key parallel level source)
-      (fun () -> Pipeline.compile ~parallel ~level source)
+      (cache_key execution source)
+      (fun () -> Pipeline.compile_for execution source)
   in
   (match r with
   | _, `Miss ->
@@ -418,21 +380,12 @@ let shed_draining t (req : Wire.request) deliver =
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 
-let run_config t ~imode ~dirty_spans ~fuel ~faults ~backend =
-  let avail =
+let run_config t execution ~fuel ~faults ~backend =
+  let device_mem =
     if t.cfg.device_mem = max_int then max_int
     else max 4096 (t.cfg.device_mem - Residency.warm_bytes t.res)
   in
-  {
-    Interp.default_config with
-    mode = imode;
-    cost =
-      { Cgcm_gpusim.Cost_model.default with device_mem_bytes = avail };
-    fuel;
-    dirty_spans;
-    faults;
-    backend;
-  }
+  { (Pipeline.config ~device_mem ?faults ~backend execution) with Interp.fuel }
 
 (* Warm this tenant's writable globals after a successful device-side
    run: their device residency survives the request, which is what the
@@ -460,9 +413,9 @@ type outcome =
   | O_failed of exn * int
 
 let execute t (req : Wire.request) ~mode =
-  let parallel, level, imode, dirty_spans, backend = plan_of_mode mode in
-  let key = cache_key parallel level req.rq_source in
-  let compiled, hitmiss = compiled_of t ~mode ~parallel ~level req.rq_source in
+  let execution, backend = parse_mode mode in
+  let key = cache_key execution req.rq_source in
+  let compiled, hitmiss = compiled_of t ~mode execution req.rq_source in
   let fuel =
     match req.rq_deadline with
     | Some d -> max 1 d
@@ -473,7 +426,9 @@ let execute t (req : Wire.request) ~mode =
     | Some s -> Some (Faults.parse s)
     | None -> t.cfg.faults
   in
-  let device_used = match imode with Interp.Unified -> false | _ -> true in
+  let device_used =
+    (Pipeline.shape execution).Pipeline.interp_mode <> Interp.Unified
+  in
   let rec attempt n retries =
     t.attempt_counter <- t.attempt_counter + 1;
     let faults =
@@ -484,7 +439,7 @@ let execute t (req : Wire.request) ~mode =
             { sp with Faults.seed = derive_seed sp.seed t.attempt_counter })
           base_faults
     in
-    let config = run_config t ~imode ~dirty_spans ~fuel ~faults ~backend in
+    let config = run_config t execution ~fuel ~faults ~backend in
     match Interp.run ~config compiled.Pipeline.modul with
     | r -> O_ok (r, retries)
     | exception exn when is_fuel_exhausted exn -> O_deadline
@@ -527,12 +482,7 @@ let finish_breaker st ~threshold ~probation ~trips exn_opt =
     end
   | Some _ -> ()
 
-(* [warm=false] defers residency warming to the caller (the batching
-   layer, which pays one warm per fused episode instead of one per
-   request). Everything else — execution, breakers, retries, leak
-   checks — is identical, which is what keeps batched replies
-   bit-identical to unbatched ones. *)
-let process_raw ?(warm = true) t (req : Wire.request) : Wire.reply =
+let process_raw t (req : Wire.request) : Wire.reply =
   let st = tenant_state t req.rq_tenant in
   let t0 = Unix.gettimeofday () in
   let wall_ms () = (Unix.gettimeofday () -. t0) *. 1000.0 in
@@ -581,7 +531,7 @@ let process_raw ?(warm = true) t (req : Wire.request) : Wire.reply =
           end
           else begin
             t.stats.ok <- t.stats.ok + 1;
-            if warm && warmable && not degraded then
+            if warmable && not degraded then
               warm_after t ~tenant:req.rq_tenant ~key ~mode
                 ~source:req.rq_source compiled;
             reply ~id:req.rq_id ~wall_ms:(wall_ms ()) ~cache ~degraded
@@ -635,10 +585,10 @@ let breaker_of_journal = function
    path; journal it so a restarted daemon neither forgets an open
    circuit (letting a failing tenant hammer the device again) nor
    invents one. *)
-let process ?warm t (req : Wire.request) : Wire.reply =
+let process t (req : Wire.request) : Wire.reply =
   let st = tenant_state t req.rq_tenant in
   let before = (st.t_breaker, st.t_consec, st.t_trips) in
-  let r = process_raw ?warm t req in
+  let r = process_raw t req in
   if (st.t_breaker, st.t_consec, st.t_trips) <> before then
     journal_append t
       (Journal.Breaker
@@ -661,116 +611,6 @@ let step t =
     Residency.check_invariants t.res;
     deliver r;
     true
-
-(* ------------------------------------------------------------------ *)
-(* Cross-request batching                                              *)
-
-(* Fairness bound: a fused episode never starves the rest of the queue
-   for more than this many requests. *)
-let max_batch = 32
-
-(* A request may join a fused episode only when fusing cannot perturb
-   behavior:
-
-   - unbounded device memory, so skipping intermediate warms cannot
-     change the per-run available-memory computation or the high-water
-     admission check (under a finite device the per-request path runs);
-   - no per-request fault plan (execution still re-rolls the daemon-wide
-     plan identically either way, but a request-scoped always-fail plan
-     marks a test probing exact per-request behavior);
-   - the compiled module is already cached AND passes the parallel
-     engine's shardability scan — statically-known launch shapes are
-     the "compatible launches" the fused episode relies on. An uncached
-     module's first run pays the compile; its repeats fuse. *)
-let batchable t (req : Wire.request) =
-  t.cfg.device_mem = max_int
-  && req.rq_faults = None
-  &&
-  match plan_of_mode req.rq_mode with
-  | exception _ -> false
-  | parallel, level, _, _, _ -> (
-    let key = cache_key parallel level req.rq_source in
-    match Hashtbl.find_opt t.par_ok key with
-    | Some b -> b
-    | None -> (
-      match Cache.peek t.cache key with
-      | None -> false
-      | Some (c : Pipeline.compiled) ->
-        let b = Interp.module_shardable c.Pipeline.modul in
-        Hashtbl.replace t.par_ok key b;
-        b))
-
-(* Execute one fused episode: the maximal run of consecutive queued
-   requests from the same tenant for the same compiled module (same
-   mode and source). Each request still executes exactly as the
-   per-request path would — fresh interpreter, own deadline, own
-   breaker accounting — so every reply is bit-identical to an unbatched
-   run; what the episode fuses is the residency warm (map/release of
-   the tenant's device globals), paid once at the end instead of once
-   per request. Returns the number of requests processed (0 = empty
-   queue). *)
-let step_batch t =
-  match Queue.take_opt t.queue with
-  | None -> 0
-  | Some ((req0, _) as head) ->
-    let group = ref [ head ] in
-    let n = ref 1 in
-    if batchable t req0 then begin
-      let same (r : Wire.request) =
-        r.Wire.rq_tenant = req0.Wire.rq_tenant
-        && r.Wire.rq_mode = req0.Wire.rq_mode
-        && r.Wire.rq_source = req0.Wire.rq_source
-        && r.Wire.rq_faults = None
-      in
-      let continue = ref true in
-      while !continue && !n < max_batch do
-        match Queue.peek_opt t.queue with
-        | Some (r, _) when same r ->
-          group := Queue.take t.queue :: !group;
-          incr n
-        | _ -> continue := false
-      done
-    end;
-    if !n = 1 then begin
-      let req, deliver = head in
-      let r = process t req in
-      Residency.check_invariants t.res;
-      deliver r;
-      1
-    end
-    else begin
-      let ok_runs = ref 0 in
-      List.iter
-        (fun ((req : Wire.request), deliver) ->
-          let r = process ~warm:false t req in
-          Residency.check_invariants t.res;
-          if r.Wire.rp_status = Wire.Ok && not r.Wire.rp_degraded then
-            incr ok_runs;
-          deliver r)
-        (List.rev !group);
-      (* One warm for the whole episode, exactly what the last
-         successful per-request warm would have established. *)
-      (match plan_of_mode req0.Wire.rq_mode with
-      | exception _ -> ()
-      | parallel, level, imode, _, backend ->
-        let warmable =
-          (match imode with Interp.Unified -> false | _ -> true)
-          && backend = Mem_backend.Explicit
-        in
-        if !ok_runs > 0 && warmable then begin
-          let key = cache_key parallel level req0.Wire.rq_source in
-          match Cache.peek t.cache key with
-          | Some compiled ->
-            warm_after t ~tenant:req0.Wire.rq_tenant ~key
-              ~mode:req0.Wire.rq_mode ~source:req0.Wire.rq_source compiled;
-            Residency.check_invariants t.res;
-            t.stats.warm_coalesced <- t.stats.warm_coalesced + (!ok_runs - 1)
-          | None -> ()
-        end);
-      t.stats.batches <- t.stats.batches + 1;
-      t.stats.batched_runs <- t.stats.batched_runs + !n;
-      !n
-    end
 
 let drain t = while step t do () done
 
@@ -804,20 +644,20 @@ let recover t (rp : Journal.replay) : recovery =
   let compiled = ref 0 and rewarmed = ref 0 and skipped = ref 0 in
   List.iter
     (fun (c : Journal.compile_rec) ->
-      match plan_of_mode c.jc_mode with
-      | parallel, level, _, _, _ -> (
-        match compiled_of t ~mode:c.jc_mode ~parallel ~level c.jc_source with
+      match parse_mode c.jc_mode with
+      | execution, _ -> (
+        match compiled_of t ~mode:c.jc_mode execution c.jc_source with
         | _ -> incr compiled
         | exception _ -> incr skipped)
       | exception _ -> incr skipped)
     st.Journal.js_compiles;
   List.iter
     (fun (w : Journal.warm_rec) ->
-      match plan_of_mode w.jw_mode with
-      | parallel, level, _, _, _ -> (
-        match compiled_of t ~mode:w.jw_mode ~parallel ~level w.jw_source with
+      match parse_mode w.jw_mode with
+      | execution, _ -> (
+        match compiled_of t ~mode:w.jw_mode execution w.jw_source with
         | cm, _ ->
-          let key = cache_key parallel level w.jw_source in
+          let key = cache_key execution w.jw_source in
           if key = w.jw_key then begin
             warm_after t ~tenant:w.jw_tenant ~key ~mode:w.jw_mode
               ~source:w.jw_source cm;

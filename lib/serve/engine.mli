@@ -39,9 +39,6 @@ type stats = {
   mutable retries : int;
   mutable backoff_total_ms : float;
   mutable circuit_trips : int;
-  mutable batches : int;  (** fused cross-request episodes executed *)
-  mutable batched_runs : int;  (** requests that rode in a fused episode *)
-  mutable warm_coalesced : int;  (** per-request warms saved by fusion *)
 }
 
 val sum_stats : stats list -> stats
@@ -113,24 +110,11 @@ val step : t -> bool
 (** Execute one queued request, deliver its reply, and audit the shared
     residency invariants. False when the queue is empty. *)
 
-val step_batch : t -> int
-(** Execute one fused episode: the maximal run (bounded for fairness)
-    of consecutive queued requests from the same tenant for the same
-    compiled module, eligible only when fusing cannot perturb behavior
-    (unbounded device memory, no per-request fault plan, module cached
-    and passing the parallel engine's shardability scan). Every request
-    executes exactly as {!step} would — replies stay bit-identical —
-    but the episode pays one residency warm instead of one per request.
-    Returns the number of requests processed; 0 when the queue is
-    empty. *)
-
 val drain : t -> unit
 
-val process : ?warm:bool -> t -> Wire.request -> Wire.reply
+val process : t -> Wire.request -> Wire.reply
 (** Execute one request immediately, bypassing the queue (used by
-    {!step} and by tests that want synchronous replies). [warm=false]
-    (default true) defers residency warming to the caller — the
-    batching layer's hook. *)
+    {!step} and by tests that want synchronous replies). *)
 
 val shutdown : t -> int
 (** Drain the queue, then tear down all warm residency and return the

@@ -11,7 +11,7 @@
    iteration — the original single-threaded daemon, byte for byte.
    With [shards > 1] the router keeps reading and writing sockets while
    the shards compute: I/O and execution overlap, and tenants on
-   different shards no longer queue behind each other's episodes.
+   different shards no longer queue behind each other's requests.
 
    Even router-side door rejections (draining, the per-shard in-flight
    bound) are forwarded to the owning shard as shed messages, so every
@@ -206,9 +206,6 @@ let stats_json t : Json.t =
        ("degraded", Json.Int s.Engine.degraded_runs);
        ("retries", Json.Int s.Engine.retries);
        ("trips", Json.Int s.Engine.circuit_trips);
-       ("batches", Json.Int s.Engine.batches);
-       ("batched_runs", Json.Int s.Engine.batched_runs);
-       ("warm_coalesced", Json.Int s.Engine.warm_coalesced);
        ("pending", Json.Int (t.inflight + sum Engine.pending));
        ("cache_hits", Json.Int hits);
        ("cache_misses", Json.Int misses);

@@ -7,8 +7,7 @@
     its connection token. With [shards = 1] (the default) no worker
     domains exist and the router drives the single engine inline — the
     original single-threaded daemon exactly. With [shards > 1] socket
-    I/O overlaps shard execution, and each shard fuses compatible
-    consecutive requests into batched episodes.
+    I/O overlaps shard execution.
 
     Lifecycle hardening: startup probes (rather than clobbers) an
     existing socket file; {!stop} triggers a graceful drain; peers that

@@ -15,8 +15,8 @@
      decoded requests into; the worker drains it, admits every message
      through [Engine.submit] (or [Engine.shed_request], for requests
      the router rejected at the door — draining, or the router-side
-     in-flight bound), then executes one fused episode
-     ([Engine.step_batch]) before looking at the inbox again, so
+     in-flight bound), then executes one request ([Engine.step])
+     before looking at the inbox again, so
      admission keeps shedding while a burst drains, exactly like the
      single-loop daemon;
    - outbox: one shared queue of (token, shard, reply) the workers push
@@ -177,9 +177,9 @@ let admit g s (m : msg) =
     ignore (Engine.submit s.s_engine m.m_req deliver : [ `Queued | `Shed ])
 
 (* The shard loop: drain the inbox (admitting everything, so queue-full
-   sheds fire while a burst is in flight), execute ONE fused episode,
-   then look at the inbox again. Interleaving admission with execution
-   at episode granularity is what preserves the single-loop daemon's
+   sheds fire while a burst is in flight), execute ONE request, then
+   look at the inbox again. Interleaving admission with execution at
+   request granularity is what preserves the single-loop daemon's
    shed-at-the-door behavior. *)
 let worker g s =
   let running = ref true in
@@ -199,8 +199,8 @@ let worker g s =
     let closed = s.s_closed in
     Mutex.unlock s.s_lock;
     List.iter (admit g s) (List.rev !msgs);
-    let processed = Engine.step_batch s.s_engine in
-    if processed = 0 && closed then begin
+    let processed = Engine.step s.s_engine in
+    if (not processed) && closed then begin
       (* closed and idle: exit only if nothing slipped in meanwhile *)
       Mutex.lock s.s_lock;
       if Queue.is_empty s.s_inbox && Engine.pending s.s_engine = 0 then

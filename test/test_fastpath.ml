@@ -51,14 +51,6 @@ let small_programs =
     ("blackscholes", OT.blackscholes ~options:200 ());
   ]
 
-let executions =
-  [
-    ("seq", Pipeline.Sequential);
-    ("ie", Pipeline.Inspector_executor_exec);
-    ("unopt", Pipeline.Cgcm_unoptimized);
-    ("opt", Pipeline.Cgcm_optimized);
-  ]
-
 let exact = Alcotest.float 0.0
 
 let check_equal_results where (a : Interp.result) (b : Interp.result) =
@@ -105,7 +97,7 @@ let test_differential (name, src) () =
         Pipeline.run ~trace:true ~engine:Interp.Tree_walk ex src
       in
       check_equal_results (name ^ "/" ^ cname) closures tree)
-    executions
+    Pipeline.executions
 
 (* Dirty-span transfers must only ever reduce communication: the
    optimized configuration with the tracker on moves no more bytes than

@@ -28,4 +28,5 @@ let () =
       ("diagnostics", Test_diagnostics.tests);
       ("serve", Test_serve.tests);
       ("membackend", Test_membackend.tests);
+      ("domains", Test_domain_safety.tests);
     ]

@@ -21,14 +21,6 @@ let check = Alcotest.check
    cross-domain execution instead of the sequential fallback. *)
 let par_cost = { Cost_model.default with Cost_model.par_min_trip = 2 }
 
-let executions =
-  [
-    ("seq", Pipeline.Sequential);
-    ("ie", Pipeline.Inspector_executor_exec);
-    ("unopt", Pipeline.Cgcm_unoptimized);
-    ("opt", Pipeline.Cgcm_optimized);
-  ]
-
 let test_differential (name, src) () =
   List.iter
     (fun (cname, ex) ->
@@ -45,7 +37,7 @@ let test_differential (name, src) () =
             (Printf.sprintf "%s/%s/j%d" name cname jobs)
             closures parallel)
         [ 2; 4 ])
-    executions
+    Pipeline.executions
 
 (* --jobs 1 must select the exact sequential closure path: no pool, no
    shards, identical everything. *)

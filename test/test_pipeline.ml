@@ -172,6 +172,55 @@ let test_ie_cyclic_trace () =
   let d = ie.Interp.dev_stats.Cgcm_gpusim.Device.dtoh_count in
   check Alcotest.bool "many DtoH rounds" true (d >= 6)
 
+(* The compile and config halves, composed by hand with profiling on,
+   must reproduce Pipeline.run exactly: profiling observes, it never
+   changes what an execution means. *)
+let test_halves_match_run () =
+  List.iter
+    (fun (prog, src) ->
+      List.iter
+        (fun (mode, exec) ->
+          let label what = Printf.sprintf "%s %s: %s" prog mode what in
+          let _, want = Pipeline.run exec src in
+          let c = Pipeline.compile_for exec src in
+          let got =
+            Interp.run
+              ~config:{ (Pipeline.config exec) with Interp.profile = true }
+              c.Pipeline.modul
+          in
+          check Alcotest.string (label "output") want.Interp.output
+            got.Interp.output;
+          check (Alcotest.float 0.0) (label "wall") want.Interp.wall
+            got.Interp.wall;
+          check (Alcotest.float 0.0) (label "comm") want.Interp.comm
+            got.Interp.comm;
+          check Alcotest.bool (label "dev_stats") true
+            (want.Interp.dev_stats = got.Interp.dev_stats))
+        Pipeline.executions)
+    (List.filter
+       (fun (name, _) -> List.mem name [ "gemm"; "srad"; "blackscholes" ])
+       small_suite)
+
+let test_mode_table () =
+  List.iter
+    (fun name ->
+      match Pipeline.parse_mode name with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: %s" name e)
+    Pipeline.mode_names;
+  check Alcotest.int "five names, four backend-suffixed split modes" 9
+    (List.length Pipeline.mode_names);
+  (match Pipeline.parse_mode "opt+paged" with
+  | Ok (e, b) ->
+    check Alcotest.bool "opt+paged" true
+      (e = Pipeline.Cgcm_optimized && b = Cgcm_runtime.Mem_backend.Paged)
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun bad ->
+      check Alcotest.bool (bad ^ " rejected") true
+        (Result.is_error (Pipeline.parse_mode bad)))
+    [ "bogus"; "opt+bogus"; "" ]
+
 (* Property: random DOALL map programs agree across all modes. *)
 let random_program_gen =
   QCheck2.Gen.(
@@ -227,5 +276,8 @@ let tests =
     Alcotest.test_case "optimized trace is acyclic" `Quick test_acyclic_trace;
     Alcotest.test_case "inspector-executor stays cyclic" `Quick
       test_ie_cyclic_trace;
+    Alcotest.test_case "compile + config halves match run" `Quick
+      test_halves_match_run;
+    Alcotest.test_case "mode-name table" `Quick test_mode_table;
     QCheck_alcotest.to_alcotest prop_random_differential;
   ]

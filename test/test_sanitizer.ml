@@ -179,7 +179,10 @@ let test_suite_clean () =
               (Printf.sprintf "%s/%s: checked accesses" name lname)
               true
               (rep.Sanitizer.r_checks > 0))
-        [ ("unopt", Pipeline.Cgcm_unoptimized); ("opt", Pipeline.Cgcm_optimized) ])
+        (List.filter
+           (fun (_, e) ->
+             (Pipeline.shape e).Pipeline.interp_mode = Interp.Split)
+           Pipeline.executions))
     Test_pipeline.small_suite
 
 (* Both engines must sanitize identically (the hooks sit on different

@@ -1155,16 +1155,14 @@ let test_sum_stats () =
     {
       received = 10; ok = 6; shed = 2; deadline_exceeded = 1;
       circuit_rejected = 1; failed = 0; degraded_runs = 3; retries = 4;
-      backoff_total_ms = 1.5; circuit_trips = 1; batches = 2;
-      batched_runs = 5; warm_coalesced = 3;
+      backoff_total_ms = 1.5; circuit_trips = 1;
     }
   in
   let b : Engine.stats =
     {
       received = 7; ok = 5; shed = 0; deadline_exceeded = 2;
       circuit_rejected = 0; failed = 0; degraded_runs = 0; retries = 1;
-      backoff_total_ms = 0.25; circuit_trips = 0; batches = 1;
-      batched_runs = 2; warm_coalesced = 1;
+      backoff_total_ms = 0.25; circuit_trips = 0;
     }
   in
   let s = Engine.sum_stats [ a; b ] in
@@ -1177,9 +1175,6 @@ let test_sum_stats () =
   check Alcotest.int "retries" 5 s.Engine.retries;
   check (Alcotest.float 1e-9) "backoff" 1.75 s.Engine.backoff_total_ms;
   check Alcotest.int "trips" 1 s.Engine.circuit_trips;
-  check Alcotest.int "batches" 3 s.Engine.batches;
-  check Alcotest.int "batched_runs" 7 s.Engine.batched_runs;
-  check Alcotest.int "warm_coalesced" 4 s.Engine.warm_coalesced;
   (match
      Engine.sum_recoveries
        [
@@ -1203,46 +1198,6 @@ let test_sum_stats () =
   | None -> Alcotest.fail "sum of two recoveries is Some");
   check Alcotest.bool "empty recovery list is None" true
     (Engine.sum_recoveries [] = None)
-
-(* Cross-request batching: once a module is cached and shardable, a run
-   of queued same-tenant requests fuses into one episode — bit-identical
-   replies, one deferred warm instead of one per request. *)
-let test_step_batch_fuses () =
-  let eng = Engine.create () in
-  let src = Loadgen.source ~variant:1 in
-  let want_output, want_exit = reference ~mode:"opt" src in
-  let replies = ref [] in
-  let submit id =
-    match
-      Engine.submit eng
-        (request ~id ~tenant:"batch" src)
-        (fun rp -> replies := (id, rp) :: !replies)
-    with
-    | `Queued -> ()
-    | `Shed -> Alcotest.fail "request shed under default config"
-  in
-  List.iter submit [ 1; 2; 3; 4; 5 ];
-  (* head of queue is uncached: the first episode executes it alone *)
-  check Alcotest.int "first episode is a singleton" 1 (Engine.step_batch eng);
-  (* now the module is cached and shardable: the rest fuse *)
-  check Alcotest.int "second episode fuses the rest" 4 (Engine.step_batch eng);
-  check Alcotest.int "queue drained" 0 (Engine.pending eng);
-  check Alcotest.int "all replies delivered" 5 (List.length !replies);
-  List.iter
-    (fun (id, (rp : Wire.reply)) ->
-      check_status (Printf.sprintf "request %d ok" id) Wire.Ok rp;
-      check Alcotest.string
-        (Printf.sprintf "request %d bit-identical" id)
-        want_output rp.Wire.rp_output;
-      check Alcotest.int
-        (Printf.sprintf "request %d exit code" id)
-        want_exit rp.Wire.rp_exit_code)
-    !replies;
-  let s = Engine.stats eng in
-  check Alcotest.int "one fused episode" 1 s.Engine.batches;
-  check Alcotest.int "four riders" 4 s.Engine.batched_runs;
-  check Alcotest.int "three warms coalesced" 3 s.Engine.warm_coalesced;
-  check Alcotest.int "leak-free shutdown" 0 (Engine.shutdown eng)
 
 (* Restart determinism: a 2-shard group journals per shard; a fresh
    group over the same segments recovers each tenant's modules on the
@@ -1429,8 +1384,6 @@ let tests =
       test_tenant_shard_placement;
     Alcotest.test_case "global stats are the sum of shard stats" `Quick
       test_sum_stats;
-    Alcotest.test_case "cross-request batching fuses bit-identically" `Quick
-      test_step_batch_fuses;
     Alcotest.test_case "shard journals recover on the owning shard" `Quick
       test_shard_journal_restart;
     Alcotest.test_case "sharded daemon round-trip on the socket" `Quick
