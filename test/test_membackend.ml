@@ -26,20 +26,22 @@ let clean (r : Interp.result) =
 (* Backend differential: the whole small-size suite, both split-memory
    configurations, must be bit-identical between backends. *)
 
+let check_backends_agree name ex pg =
+  check Alcotest.string
+    (name ^ ": output identical across backends")
+    ex.Interp.output pg.Interp.output;
+  check Alcotest.int64
+    (name ^ ": exit code identical across backends")
+    ex.Interp.exit_code pg.Interp.exit_code;
+  check Alcotest.bool (name ^ ": explicit leak report clean") true (clean ex);
+  check Alcotest.bool (name ^ ": paged leak report clean") true (clean pg)
+
 let backend_differential exec () =
   List.iter
     (fun (name, src) ->
       let run backend = snd (Pipeline.run ~backend exec src) in
       let ex = run Mem_backend.Explicit and pg = run Mem_backend.Paged in
-      check Alcotest.string
-        (name ^ ": output identical across backends")
-        ex.Interp.output pg.Interp.output;
-      check Alcotest.int64
-        (name ^ ": exit code identical across backends")
-        ex.Interp.exit_code pg.Interp.exit_code;
-      check Alcotest.bool (name ^ ": explicit leak report clean") true
-        (clean ex);
-      check Alcotest.bool (name ^ ": paged leak report clean") true (clean pg);
+      check_backends_agree name ex pg;
       check Alcotest.bool (name ^ ": explicit run has no page stats") true
         (ex.Interp.page_stats = None);
       check Alcotest.bool (name ^ ": paged run reports page stats") true
@@ -314,18 +316,24 @@ let paged_suite_golden_rows =
     ("blackscholes", 420000, 411, 411, 60, 1683456, 245760, 0x1.5938a15ed097bp+24, 0L);
   ]
 
+(* The suite's paranoid opt+paged runs, shared by the golden test and the
+   explicit-vs-paged A/B below. *)
+let paged_suite_runs =
+  lazy
+    (List.map
+       (fun (p : Cgcm_progs.Registry.program) ->
+         snd
+           (Pipeline.run ~paranoid:true ~backend:Mem_backend.Paged
+              Pipeline.Cgcm_optimized p.source))
+       Cgcm_progs.Registry.all)
+
 let paged_suite_golden () =
   check Alcotest.(list string) "golden rows cover the suite in order"
     (List.map (fun (p : Cgcm_progs.Registry.program) -> p.name)
        Cgcm_progs.Registry.all)
     (List.map (fun (n, _, _, _, _, _, _, _, _) -> n) paged_suite_golden_rows);
   List.iter2
-    (fun (p : Cgcm_progs.Registry.program)
-         (name, touches, pages, to_dev, to_host, b_dev, b_host, wall, code) ->
-      let _, r =
-        Pipeline.run ~paranoid:true ~backend:Mem_backend.Paged
-          Pipeline.Cgcm_optimized p.source
-      in
+    (fun (name, touches, pages, to_dev, to_host, b_dev, b_host, wall, code) r ->
       let s = Option.get r.Interp.page_stats in
       let got =
         [
@@ -342,7 +350,24 @@ let paged_suite_golden () =
       check Alcotest.string (name ^ ": wall cycles") (Printf.sprintf "%h" wall)
         (Printf.sprintf "%h" r.Interp.wall);
       check Alcotest.int64 (name ^ ": exit code") code r.Interp.exit_code)
-    Cgcm_progs.Registry.all paged_suite_golden_rows
+    paged_suite_golden_rows (Lazy.force paged_suite_runs)
+
+(* The explicit-vs-paged A/B over the full-size suite: the backends may
+   move cost, never values, and explicit-copy CGCM must beat paged
+   migration by >= 2x in simulated cycles on at least one program — the
+   paper's claim that managed explicit transfers out-run on-demand
+   paging, in executable form. *)
+let explicit_vs_paged_suite () =
+  let wins =
+    List.map2
+      (fun (p : Cgcm_progs.Registry.program) pg ->
+        let _, ex = Pipeline.run Pipeline.Cgcm_optimized p.source in
+        check_backends_agree p.name ex pg;
+        pg.Interp.wall /. ex.Interp.wall >= 2.0)
+      Cgcm_progs.Registry.all (Lazy.force paged_suite_runs)
+  in
+  check Alcotest.bool "explicit-copy CGCM wins >= 2x on some program" true
+    (List.mem true wins)
 
 (* ------------------------------------------------------------------ *)
 (* Byte-size suffix parsing (--device-mem / --page-bytes)              *)
@@ -451,4 +476,6 @@ let tests =
     Alcotest.test_case "bytesize: golden error message" `Quick
       bytesize_error_golden;
     Alcotest.test_case "serve: +paged mode suffix" `Slow serve_paged_suffix;
+    Alcotest.test_case "explicit vs paged A/B (opt, full suite)" `Slow
+      explicit_vs_paged_suite;
   ]

@@ -1327,6 +1327,73 @@ let test_sharded_socket_round_trip () =
       (contains ~affix:"received=7 ok=7" line)
   | None -> Alcotest.fail "daemon thread returned nothing"
 
+(* Cold requests on both shards at once: two client threads, one tenant
+   per shard, each request made unique by a nonce comment so every one
+   misses the cache and both shard domains compile and run at the same
+   time. Every reply must still be bit-identical to a fresh single-shot
+   run, and teardown leak-free. *)
+let test_sharded_concurrent_cold () =
+  let path = tmp_path "sharded-cold.sock" in
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let srv = Server.create ~shards:2 ~log:(fun _ -> ()) ~socket_path:path () in
+  let result = ref None in
+  let daemon = Thread.create (fun () -> result := Some (Server.run srv)) () in
+  let finally () =
+    Server.stop srv;
+    Thread.join daemon;
+    try Unix.unlink path with Unix.Unix_error _ -> ()
+  in
+  Fun.protect ~finally @@ fun () ->
+  check Alcotest.bool "daemon came up" true
+    (Client.wait_ready ~socket_path:path ());
+  let per_client = 6 in
+  (* t0 and t1 land on different shards (see the placement test) *)
+  let tenants = [| "t0"; "t1" |] in
+  let sent = Array.make (Array.length tenants) [] in
+  let client i () =
+    sent.(i) <-
+      List.init per_client (fun k ->
+          let id = (i * per_client) + k + 1 in
+          let mode = if k mod 2 = 0 then "opt" else "unopt" in
+          let src =
+            Printf.sprintf "// nonce %d\n%s" id
+              (Loadgen.source ~variant:(k mod 4))
+          in
+          let rp =
+            Client.request ~socket_path:path
+              (request ~id ~tenant:tenants.(i) ~mode src)
+          in
+          (id, mode, src, rp))
+  in
+  let threads = Array.mapi (fun i _ -> Thread.create (client i) ()) tenants in
+  Array.iter Thread.join threads;
+  Array.iter
+    (List.iter (fun (id, mode, src, rp) ->
+         let want_output, want_exit = reference ~mode src in
+         check_status (Printf.sprintf "request %d ok" id) Wire.Ok rp;
+         check Alcotest.string
+           (Printf.sprintf "request %d is cold" id)
+           "miss" rp.Wire.rp_cache;
+         check Alcotest.string
+           (Printf.sprintf "request %d bit-identical" id)
+           want_output rp.Wire.rp_output;
+         check Alcotest.int
+           (Printf.sprintf "request %d exit code" id)
+           want_exit rp.Wire.rp_exit_code))
+    sent;
+  let total = Array.length tenants * per_client in
+  check Alcotest.int "every request answered" total
+    (Array.fold_left (fun n l -> n + List.length l) 0 sent);
+  check Alcotest.bool "daemon acknowledged shutdown" true
+    (Client.shutdown ~socket_path:path);
+  Thread.join daemon;
+  match !result with
+  | Some (line, residual) ->
+    check Alcotest.int "leak-free teardown across shards" 0 residual;
+    check Alcotest.bool "final line reports no leaks" true
+      (contains ~affix:"device_leaks=0" line)
+  | None -> Alcotest.fail "daemon thread returned nothing"
+
 let tests =
   [
     Alcotest.test_case "wire messages round-trip" `Quick test_wire_round_trip;
@@ -1388,4 +1455,6 @@ let tests =
       test_shard_journal_restart;
     Alcotest.test_case "sharded daemon round-trip on the socket" `Quick
       test_sharded_socket_round_trip;
+    Alcotest.test_case "sharded daemon: concurrent cold requests" `Quick
+      test_sharded_concurrent_cold;
   ]
