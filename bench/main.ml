@@ -1,6 +1,6 @@
 (* The benchmark harness: regenerates every table and figure of the
    paper's evaluation (Section 6), runs Bechamel micro-benchmarks of the
-   core primitives, and writes the two host-time gates the ledger cannot
+   core primitives, and writes the host-time gate the ledger cannot
    express.
 
      dune exec bench/main.exe                 -- every paper artifact
@@ -8,7 +8,6 @@
                                                  [artifacts] below)
      dune exec bench/main.exe -- validate     -- the headline claims;
                                                  exits 1 if one fails
-     dune exec bench/main.exe -- micro --json -- BENCH_5.json
      dune exec bench/main.exe -- serve [--seeds=11,23] [--shards=1,2,4]
                                               -- BENCH_9.json
 
@@ -16,15 +15,12 @@
 
 module E = Cgcm_core.Experiments
 module Pipeline = Cgcm_core.Pipeline
-module Registry = Cgcm_progs.Registry
 module Interp = Cgcm_interp.Interp
 module Memspace = Cgcm_memory.Memspace
 module Device = Cgcm_gpusim.Device
 module Cost_model = Cgcm_gpusim.Cost_model
 module Runtime = Cgcm_runtime.Runtime
 module Avl = Cgcm_support.Avl_map.Int
-module Pass = Cgcm_transform.Pass
-module Manager = Pass.Manager
 module J = Cgcm_serve.Json
 module Engine = Cgcm_serve.Engine
 module Client = Cgcm_serve.Client
@@ -256,79 +252,6 @@ let write_json path json =
   output_string oc "\n";
   close_out oc;
   Fmt.pr "%s@.wrote %s@." text path
-
-(* ------------------------------------------------------------------ *)
-(* micro --json: the compile-time gate -> BENCH_5.json                 *)
-
-(* The caching analysis manager against the restart-from-scratch
-   discipline (every analysis query recomputed, which is what the
-   mid-end did before the manager existed): the same optimized pipeline
-   over the same programs, only the cache policy differs. CI gates on
-   [compile.speedup] >= 1.5; [host_cores] records the hardware the host
-   wall-clock numbers came from. *)
-let micro_json () =
-  let reps = 5 in
-  let compile_suite analysis =
-    let per_pass = Hashtbl.create 8 and cache = Hashtbl.create 8 in
-    let total = ref 0.0 in
-    for _ = 1 to reps do
-      List.iter
-        (fun (p : Registry.program) ->
-          let c =
-            Pipeline.compile ~level:Pipeline.Optimized ~analysis
-              p.Registry.source
-          in
-          List.iter
-            (fun (s : Pass.pass_stat) ->
-              let cur =
-                Option.value ~default:0.0
-                  (Hashtbl.find_opt per_pass s.Pass.ps_pass)
-              in
-              Hashtbl.replace per_pass s.Pass.ps_pass (cur +. s.Pass.ps_wall_ms);
-              total := !total +. s.Pass.ps_wall_ms)
-            c.Pipeline.pass_stats;
-          List.iter
-            (fun (n, h, m) ->
-              let h0, m0 =
-                Option.value ~default:(0, 0) (Hashtbl.find_opt cache n)
-              in
-              Hashtbl.replace cache n (h0 + h, m0 + m))
-            c.Pipeline.cache_stats)
-        Registry.all
-    done;
-    let sorted tbl f =
-      Hashtbl.fold (fun k v acc -> (k, f v) :: acc) tbl [] |> List.sort compare
-    in
-    ( !total,
-      J.Obj
-        [
-          ("total_ms", J.Float !total);
-          ("per_pass_ms", J.Obj (sorted per_pass (fun ms -> J.Float ms)));
-          ( "analysis_cache",
-            J.Obj
-              (sorted cache (fun (h, m) ->
-                   J.Obj [ ("hits", J.Int h); ("misses", J.Int m) ])) );
-        ] )
-  in
-  Fmt.epr "  timing the optimized pipeline with cached analyses...@.";
-  let cached_ms, cached = compile_suite Manager.Cached in
-  Fmt.epr "  timing the optimized pipeline with uncached analyses...@.";
-  let uncached_ms, uncached = compile_suite Manager.Uncached in
-  write_json "BENCH_5.json"
-    (J.Obj
-       [
-         ("schema", J.Str "cgcm-bench-5");
-         ("host_cores", J.Int (Domain.recommended_domain_count ()));
-         ( "compile",
-           J.Obj
-             [
-               ("programs", J.Int (List.length Registry.all));
-               ("reps", J.Int reps);
-               ("cached", cached);
-               ("uncached", uncached);
-               ("speedup", J.Float (uncached_ms /. cached_ms));
-             ] );
-       ])
 
 (* ------------------------------------------------------------------ *)
 (* serve: the daemon's envelope and shard scaling -> BENCH_9.json      *)
@@ -596,18 +519,15 @@ let () =
     | l -> List.map Option.get l
   in
   let args = List.tl (Array.to_list Sys.argv) in
-  let json = List.mem "--json" args in
   let run =
     List.filter_map
       (fun a ->
-        if a = "--json" then None
-        else if String.starts_with ~prefix:"--seeds=" a then (
+        if String.starts_with ~prefix:"--seeds=" a then (
           serve_seeds := ints "--seeds=" a;
           None)
         else if String.starts_with ~prefix:"--shards=" a then (
           serve_shard_counts := ints "--shards=" a;
           None)
-        else if a = "micro" && json then Some micro_json
         else
           match List.assoc_opt a artifacts with
           | Some f -> Some f

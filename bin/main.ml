@@ -17,7 +17,6 @@ module Mem_backend = Cgcm_runtime.Mem_backend
 module Paged = Cgcm_runtime.Paged
 module Bytesize = Cgcm_support.Bytesize
 module Pass = Cgcm_transform.Pass
-module Manager = Pass.Manager
 
 let read_file path =
   let ic = open_in_bin path in
@@ -255,26 +254,7 @@ let pass_stats_arg =
     & info [ "pass-stats" ] ~docv:"FORMAT"
         ~doc:
           "Print per-pass statistics (wall time; instruction, launch and \
-           run-time-call deltas) and the analysis manager's cache \
-           hit/miss counters. FORMAT is table (default) or json.")
-
-let analysis_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("cached", Manager.Cached);
-             ("uncached", Manager.Uncached);
-             ("paranoid", Manager.Paranoid);
-           ])
-        Manager.Cached
-    & info [ "analysis" ] ~docv:"MODE"
-        ~doc:
-          "Analysis manager discipline: cached (default), uncached \
-           (recompute on every query — the restart-from-scratch \
-           baseline), or paranoid (recompute anyway and cross-check \
-           every cached result, aborting on staleness)")
+           run-time-call deltas). FORMAT is table (default) or json.")
 
 let parse_passes = function
   | None -> None
@@ -326,13 +306,7 @@ let print_pass_stats format (c : Pipeline.compiled) =
           (s.Pass.ps_instrs_after - s.Pass.ps_instrs_before)
           (s.Pass.ps_launches_after - s.Pass.ps_launches_before)
           (s.Pass.ps_rtcalls_after - s.Pass.ps_rtcalls_before))
-      c.Pipeline.pass_stats;
-    Fmt.pr "--- analysis cache:@.";
-    Fmt.pr "    %-18s %9s %8s@." "analysis" "hits" "misses";
-    List.iter
-      (fun (name, h, m) ->
-        if h + m > 0 then Fmt.pr "    %-18s %9d %8d@." name h m)
-      c.Pipeline.cache_stats
+      c.Pipeline.pass_stats
   | `Json ->
     let b = Buffer.create 512 in
     Buffer.add_string b "{\n  \"passes\": [";
@@ -352,14 +326,6 @@ let print_pass_stats format (c : Pipeline.compiled) =
              | None -> ""
              | Some ir -> Printf.sprintf ", \"ir_changed\": %b" ir)))
       c.Pipeline.pass_stats;
-    Buffer.add_string b "\n  ],\n  \"analysis_cache\": [";
-    List.iteri
-      (fun i (name, h, m) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b
-          (Printf.sprintf "\n    {\"analysis\": %S, \"hits\": %d, \"misses\": %d}"
-             name h m))
-      c.Pipeline.cache_stats;
     Buffer.add_string b "\n  ]\n}\n";
     print_string (Buffer.contents b)
 
@@ -405,13 +371,13 @@ let print_result (r : Interp.result) ~trace =
 let run_cmd =
   let doc = "Compile and run a CGC program under a given execution mode" in
   let f file mode trace profile faults device_mem o sanitize chaos passes
-      dump_ir pass_stats analysis =
+      dump_ir pass_stats =
     guarded @@ fun () ->
     let src = read_file file in
     let faults = parse_faults faults in
     let plan = parse_passes passes in
     let hooks = dump_hooks (parse_dump_ir dump_ir) in
-    let c = Pipeline.compile_for ?plan ~analysis ~hooks mode src in
+    let c = Pipeline.compile_for ?plan ~hooks mode src in
     (match chaos with
     | Some spec ->
       let intrinsic, n = parse_chaos spec in
@@ -442,7 +408,7 @@ let run_cmd =
     Term.(
       const f $ file_arg $ mode_arg $ trace_arg $ profile_arg $ faults_arg
       $ device_mem_arg $ run_opts_term $ sanitize_arg $ chaos_arg $ passes_arg
-      $ dump_ir_arg $ pass_stats_arg $ analysis_arg)
+      $ dump_ir_arg $ pass_stats_arg)
 
 let level_conv =
   Arg.enum
@@ -460,13 +426,12 @@ let level_arg =
 
 let ir_cmd =
   let doc = "Dump the IR after the selected pipeline level (or pass plan)" in
-  let f file level passes dump_ir pass_stats analysis =
+  let f file level passes dump_ir pass_stats =
     guarded @@ fun () ->
     let plan = parse_passes passes in
     let dump = parse_dump_ir dump_ir in
     let c =
-      Pipeline.compile ~level ?plan ~analysis ~hooks:(dump_hooks dump)
-        (read_file file)
+      Pipeline.compile ~level ?plan ~hooks:(dump_hooks dump) (read_file file)
     in
     print_string (Cgcm_ir.Printer.modul_to_string c.Pipeline.modul);
     match pass_stats with
@@ -476,7 +441,7 @@ let ir_cmd =
   Cmd.v (Cmd.info "ir" ~doc)
     Term.(
       const f $ file_arg $ level_arg $ passes_arg $ dump_ir_arg
-      $ pass_stats_arg $ analysis_arg)
+      $ pass_stats_arg)
 
 let ast_cmd =
   let doc = "Dump the AST (after DOALL outlining unless --no-doall)" in

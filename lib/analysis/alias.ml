@@ -138,20 +138,3 @@ let access_may_alias (t : t) ~(access : obj) ~(target : obj) =
 let escaping_allocas (f : Ir.func) : int list =
   let slots = unescaped_slots f in
   Hashtbl.fold (fun r unescaped acc -> if unescaped then acc else r :: acc) slots []
-
-(* Structural equality for the manager's paranoid mode. A fresh result
-   may have a longer defs array than a cached one when registers were
-   allocated (fresh_reg) without their defining instructions reaching a
-   block yet — those trailing entries must be None for the cached result
-   to still be valid. *)
-let equal a b =
-  let get d i = if i < Array.length d then d.(i) else None in
-  let n = max (Array.length a.defs) (Array.length b.defs) in
-  let defs_ok = ref true in
-  for i = 0 to n - 1 do
-    if get a.defs i <> get b.defs i then defs_ok := false
-  done;
-  let canon slots =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) slots [] |> List.sort compare
-  in
-  !defs_ok && canon a.slots = canon b.slots

@@ -46,8 +46,3 @@ val access_may_alias : t -> access:obj -> target:obj -> bool
 
 val escaping_allocas : Cgcm_ir.Ir.func -> int list
 (** Alloca registers needing declareAlloca registration. *)
-
-val equal : t -> t -> bool
-(** Structural equality (defs arrays None-padded to the same length);
-    the analysis manager's paranoid mode compares cached vs fresh
-    results with it. *)

@@ -56,17 +56,3 @@ let call_sites t name = Option.value ~default:[] (Hashtbl.find_opt t.callers nam
 
 let is_recursive t name =
   Option.value ~default:false (Hashtbl.find_opt t.recursive name)
-
-(* Canonical equality (hashtable iteration order ignored) for the
-   analysis manager's paranoid mode. *)
-let equal a b =
-  let assoc h =
-    Hashtbl.fold (fun k v acc -> (k, List.sort compare v) :: acc) h []
-    |> List.sort compare
-  in
-  let flags h =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [] |> List.sort compare
-  in
-  assoc a.callers = assoc b.callers
-  && assoc a.callees = assoc b.callees
-  && flags a.recursive = flags b.recursive

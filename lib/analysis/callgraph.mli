@@ -12,7 +12,3 @@ type t = {
 val compute : Cgcm_ir.Ir.modul -> t
 val call_sites : t -> string -> (string * int) list
 val is_recursive : t -> string -> bool
-
-val equal : t -> t -> bool
-(** Canonical equality (hashtable order ignored), for the analysis
-    manager's paranoid mode. *)

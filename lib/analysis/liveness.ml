@@ -61,10 +61,3 @@ let compute (f : Ir.func) : t =
 let live_in t b = t.live_in.(b)
 
 let live_out t b = t.live_out.(b)
-
-(* Equality via ISet.equal (set trees with equal elements can differ
-   structurally); for the analysis manager's paranoid mode. *)
-let equal a b =
-  Array.length a.live_in = Array.length b.live_in
-  && Array.for_all2 ISet.equal a.live_in b.live_in
-  && Array.for_all2 ISet.equal a.live_out b.live_out

@@ -10,6 +10,3 @@ type t = { live_in : ISet.t array; live_out : ISet.t array }
 val compute : Cgcm_ir.Ir.func -> t
 val live_in : t -> int -> ISet.t
 val live_out : t -> int -> ISet.t
-
-val equal : t -> t -> bool
-(** Per-block set equality, for the analysis manager's paranoid mode. *)

@@ -30,10 +30,8 @@ let natural_loop f header src =
   go src;
   Hashtbl.fold (fun b () acc -> b :: acc) seen []
 
-let analyze ?dom (f : Ir.func) : t =
-  let dom =
-    match dom with Some d -> d | None -> Dominance.compute f
-  in
+let analyze (f : Ir.func) : t =
+  let dom = Dominance.compute f in
   let reach = Cfg.reachable f in
   let n = Array.length f.Ir.blocks in
   (* back edges: b -> h where h dominates b *)
@@ -118,79 +116,3 @@ let entry_edges (f : Ir.func) (l : loop) =
   List.filter_map
     (fun p -> if in_loop l p then None else Some p)
     preds.(l.header)
-
-(* ------------------------------------------------------------------ *)
-(* Incremental patching.
-
-   The rewriting helpers only ever *append* blocks (preheaders, split
-   exit edges), which leaves every existing loop's header, body and
-   nesting untouched; a full re-analysis after each such edit — what map
-   promotion used to do — recomputes exactly the structure it already
-   had, plus one block. These patches extend a cached result to cover
-   the new block instead, so the analysis manager can keep serving it. *)
-
-(* Grow [block_loop] to cover block [nb], mapping it to [owner]. *)
-let extend_block_loop t ~nb ~owner =
-  Array.init (max (nb + 1) (Array.length t.block_loop)) (fun b ->
-      if b = nb then owner
-      else if b < Array.length t.block_loop then t.block_loop.(b)
-      else None)
-
-(* A preheader [ph] for loop [li] sits outside that loop but inside every
-   loop strictly containing it (its entry edges came from there). *)
-let note_preheader t ~li ~ph : t =
-  let rec ancestors i =
-    match t.loops.(i).parent with None -> [] | Some p -> p :: ancestors p
-  in
-  let anc = ancestors li in
-  let loops =
-    Array.mapi
-      (fun j l -> if List.mem j anc then { l with body = ph :: l.body } else l)
-      t.loops
-  in
-  { loops; block_loop = extend_block_loop t ~nb:ph ~owner:t.loops.(li).parent }
-
-(* A block [nb] splitting the edge [from_ -> to_] belongs to exactly the
-   loops containing both endpoints (for a natural loop, the header still
-   dominates [nb] and [nb] still reaches the back edge through [to_]). *)
-let note_edge_block t ~from_ ~to_ ~nb : t =
-  let containing =
-    Array.to_list
-      (Array.mapi
-         (fun j l ->
-           if in_loop l from_ && in_loop l to_ then Some j else None)
-         t.loops)
-    |> List.filter_map Fun.id
-  in
-  let loops =
-    Array.mapi
-      (fun j l ->
-        if List.mem j containing then { l with body = nb :: l.body } else l)
-      t.loops
-  in
-  let innermost =
-    List.fold_left
-      (fun best j ->
-        match best with
-        | Some b when t.loops.(b).depth >= t.loops.(j).depth -> best
-        | _ -> Some j)
-      None containing
-  in
-  { loops; block_loop = extend_block_loop t ~nb ~owner:innermost }
-
-(* Canonical equality: loop array order and parent indices depend on
-   analysis order, so compare loops as sorted (header, sorted body) pairs
-   and block_loop by the header of each block's innermost loop. Used by
-   the manager's paranoid mode to detect stale (mis-patched) results. *)
-let equal a b =
-  let canon t =
-    Array.to_list t.loops
-    |> List.map (fun l -> (l.header, List.sort_uniq compare l.body, l.depth))
-    |> List.sort compare
-  in
-  let owners t =
-    Array.map (Option.map (fun li -> t.loops.(li).header)) t.block_loop
-  in
-  canon a = canon b
-  && Array.length (owners a) = Array.length (owners b)
-  && owners a = owners b

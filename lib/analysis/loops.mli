@@ -15,23 +15,7 @@ type t = {
 
 val in_loop : loop -> int -> bool
 
-val analyze : ?dom:Cgcm_ir.Dominance.t -> Cgcm_ir.Ir.func -> t
-(** [dom] supplies an already-computed dominator tree (the analysis
-    manager's cache); computed on demand otherwise. *)
-
-val note_preheader : t -> li:int -> ph:int -> t
-(** Patch the analysis after block [ph] was appended as the preheader of
-    loop index [li]: the new block is outside that loop, inside every
-    strictly containing one. *)
-
-val note_edge_block : t -> from_:int -> to_:int -> nb:int -> t
-(** Patch the analysis after block [nb] was appended splitting the edge
-    [from_ -> to_]: the new block belongs to exactly the loops containing
-    both endpoints. *)
-
-val equal : t -> t -> bool
-(** Canonical equality (loop order and internal indices ignored); the
-    manager's paranoid mode compares cached vs fresh results with it. *)
+val analyze : Cgcm_ir.Ir.func -> t
 
 val innermost_first : t -> int list
 (** Loop indices ordered deepest first — the promotion order. *)

@@ -1,225 +1,32 @@
-(* Caching analysis manager. See manager.mli for the contract. *)
+(* Analysis manager: fresh analyses on every lookup, counted. See
+   manager.mli for the contract. *)
 
 module Ir = Cgcm_ir.Ir
-module Dominance = Cgcm_ir.Dominance
 
-type kind =
-  | Callgraph
-  | Modref
-  | Loops
-  | Dominance
-  | Alias
-  | Liveness
-  | Kernel_types
+type t = { modul : Ir.modul; lookups : (string * int ref) list }
 
-let kind_name = function
-  | Callgraph -> "callgraph"
-  | Modref -> "modref"
-  | Loops -> "loops"
-  | Dominance -> "dominance"
-  | Alias -> "alias"
-  | Liveness -> "liveness"
-  | Kernel_types -> "kernel-types"
-
-let all_kinds =
-  [ Callgraph; Modref; Loops; Dominance; Alias; Liveness; Kernel_types ]
-
-type mode = Cached | Uncached | Paranoid
-
-exception Stale of string
-
-type counter = { mutable hits : int; mutable misses : int }
-
-(* Per-function slots. Dominance is cached separately so [loops] can
-   reuse it (Loops.analyze ?dom). *)
-type fcache = {
-  mutable c_dom : Dominance.t option;
-  mutable c_loops : Loops.t option;
-  mutable c_alias : Alias.t option;
-  mutable c_live : Liveness.t option;
-  mutable c_ktypes : Typeinfer.kernel_types option;
-}
-
-type t = {
-  modul : Ir.modul;
-  mode : mode;
-  mutable c_callgraph : Callgraph.t option;
-  mutable c_modref : Modref.t option;
-  fcaches : (string, fcache) Hashtbl.t;  (* keyed by Ir.func.fname *)
-  counters : (kind * counter) list;
-}
-
-let create ?(mode = Cached) modul =
+let create modul =
   {
     modul;
-    mode;
-    c_callgraph = None;
-    c_modref = None;
-    fcaches = Hashtbl.create 16;
-    counters = List.map (fun k -> (k, { hits = 0; misses = 0 })) all_kinds;
+    lookups =
+      List.map
+        (fun name -> (name, ref 0))
+        [ "callgraph"; "modref"; "loops"; "alias"; "kernel-types" ];
   }
 
 let modul t = t.modul
-let mode t = t.mode
-let counter t kind = List.assq kind t.counters
 
-let fcache t (f : Ir.func) =
-  match Hashtbl.find_opt t.fcaches f.fname with
-  | Some fc -> fc
-  | None ->
-    let fc =
-      { c_dom = None; c_loops = None; c_alias = None; c_live = None;
-        c_ktypes = None }
-    in
-    Hashtbl.replace t.fcaches f.fname fc;
-    fc
+let fresh t name compute =
+  incr (List.assoc name t.lookups);
+  compute ()
 
-(* The shared fetch discipline. [read]/[write] view one cache slot;
-   [compute] produces a fresh result; [eq] detects staleness in
-   Paranoid mode. *)
-let fetch t kind ~what ~read ~write ~eq ~compute =
-  let c = counter t kind in
-  match t.mode with
-  | Uncached ->
-    c.misses <- c.misses + 1;
-    compute ()
-  | Cached -> (
-    match read () with
-    | Some v ->
-      c.hits <- c.hits + 1;
-      v
-    | None ->
-      c.misses <- c.misses + 1;
-      let v = compute () in
-      write (Some v);
-      v)
-  | Paranoid -> (
-    let fresh = compute () in
-    match read () with
-    | Some cached when not (eq cached fresh) ->
-      raise
-        (Stale
-           (Printf.sprintf "stale %s for %s (pass failed to invalidate)"
-              (kind_name kind) what))
-    | Some _ ->
-      c.hits <- c.hits + 1;
-      fresh
-    | None ->
-      c.misses <- c.misses + 1;
-      write (Some fresh);
-      fresh)
+let callgraph t = fresh t "callgraph" (fun () -> Callgraph.compute t.modul)
+let modref t = fresh t "modref" (fun () -> Modref.compute t.modul)
 
-let callgraph t =
-  fetch t Callgraph ~what:"module"
-    ~read:(fun () -> t.c_callgraph)
-    ~write:(fun v -> t.c_callgraph <- v)
-    ~eq:Callgraph.equal
-    ~compute:(fun () -> Callgraph.compute t.modul)
+let loops t f = fresh t "loops" (fun () -> Loops.analyze f)
+let alias t f = fresh t "alias" (fun () -> Alias.analyze f)
 
-let modref t =
-  fetch t Modref ~what:"module"
-    ~read:(fun () -> t.c_modref)
-    ~write:(fun v -> t.c_modref <- v)
-    ~eq:Modref.equal
-    ~compute:(fun () -> Modref.compute t.modul)
+let kernel_types t f =
+  fresh t "kernel-types" (fun () -> Typeinfer.infer_kernel f)
 
-let dominance t (f : Ir.func) =
-  let fc = fcache t f in
-  fetch t Dominance ~what:f.fname
-    ~read:(fun () -> fc.c_dom)
-    ~write:(fun v -> fc.c_dom <- v)
-    ~eq:Dominance.equal
-    ~compute:(fun () -> Dominance.compute f)
-
-let loops t (f : Ir.func) =
-  let fc = fcache t f in
-  fetch t Loops ~what:f.fname
-    ~read:(fun () -> fc.c_loops)
-    ~write:(fun v -> fc.c_loops <- v)
-    ~eq:Loops.equal
-    ~compute:(fun () -> Loops.analyze ~dom:(dominance t f) f)
-
-let alias t (f : Ir.func) =
-  let fc = fcache t f in
-  fetch t Alias ~what:f.fname
-    ~read:(fun () -> fc.c_alias)
-    ~write:(fun v -> fc.c_alias <- v)
-    ~eq:Alias.equal
-    ~compute:(fun () -> Alias.analyze f)
-
-let liveness t (f : Ir.func) =
-  let fc = fcache t f in
-  fetch t Liveness ~what:f.fname
-    ~read:(fun () -> fc.c_live)
-    ~write:(fun v -> fc.c_live <- v)
-    ~eq:Liveness.equal
-    ~compute:(fun () -> Liveness.compute f)
-
-let kernel_types t (f : Ir.func) =
-  let fc = fcache t f in
-  fetch t Kernel_types ~what:f.fname
-    ~read:(fun () -> fc.c_ktypes)
-    ~write:(fun v -> fc.c_ktypes <- v)
-    ~eq:Typeinfer.equal_kernel_types
-    ~compute:(fun () -> Typeinfer.infer_kernel f)
-
-(* ------------------------------------------------------------------ *)
-(* Invalidation *)
-
-let drop_function_kind fc = function
-  | Dominance -> fc.c_dom <- None
-  | Loops -> fc.c_loops <- None
-  | Alias -> fc.c_alias <- None
-  | Liveness -> fc.c_live <- None
-  | Kernel_types -> fc.c_ktypes <- None
-  | Callgraph | Modref -> ()
-
-let drop_module_kind t = function
-  | Callgraph -> t.c_callgraph <- None
-  | Modref -> t.c_modref <- None
-  | Loops | Dominance | Alias | Liveness | Kernel_types -> ()
-
-let invalidate_function t ?(preserve = []) (f : Ir.func) =
-  (match Hashtbl.find_opt t.fcaches f.fname with
-  | None -> ()
-  | Some fc ->
-    List.iter
-      (fun k -> if not (List.memq k preserve) then drop_function_kind fc k)
-      all_kinds);
-  (* Editing one function can change what the whole module's call graph
-     and mod/ref summaries say. *)
-  List.iter
-    (fun k -> if not (List.memq k preserve) then drop_module_kind t k)
-    [ Callgraph; Modref ]
-
-let invalidate_module t ?(preserve = []) () =
-  List.iter
-    (fun k -> if not (List.memq k preserve) then drop_module_kind t k)
-    [ Callgraph; Modref ];
-  Hashtbl.iter
-    (fun _ fc ->
-      List.iter
-        (fun k -> if not (List.memq k preserve) then drop_function_kind fc k)
-        all_kinds)
-    t.fcaches
-
-let patch_loops t (f : Ir.func) patch =
-  match Hashtbl.find_opt t.fcaches f.fname with
-  | Some ({ c_loops = Some l; _ } as fc) -> fc.c_loops <- Some (patch l)
-  | _ -> ()
-
-let set_dominance t (f : Ir.func) dom =
-  if t.mode <> Uncached then (fcache t f).c_dom <- Some dom
-
-(* ------------------------------------------------------------------ *)
-(* Instrumentation *)
-
-let stats t =
-  List.map (fun (k, c) -> (kind_name k, c.hits, c.misses)) t.counters
-
-let reset_stats t =
-  List.iter
-    (fun (_, c) ->
-      c.hits <- 0;
-      c.misses <- 0)
-    t.counters
+let stats t = List.map (fun (name, n) -> (name, 0, !n)) t.lookups

@@ -1,93 +1,29 @@
-(** Caching analysis manager (LLVM-new-PM style).
+(** Analysis manager: the one place passes get analyses from.
 
-    Passes request analyses through a manager instead of constructing
-    them; rewrites declare what they clobber via preservation sets, so
-    unchanged results are served from cache instead of recomputed. The
-    module-level analyses ({!Callgraph}, {!Modref}) are cached once per
-    module; the rest ({!Loops}, {!Dominance}, {!Alias}, {!Liveness},
-    kernel classifications from {!Typeinfer}) per function. *)
-
-(** The analyses the manager knows about. [Kernel_types] is
-    {!Typeinfer.infer_kernel}'s classification of a kernel. *)
-type kind =
-  | Callgraph
-  | Modref
-  | Loops
-  | Dominance
-  | Alias
-  | Liveness
-  | Kernel_types
-
-val kind_name : kind -> string
-val all_kinds : kind list
-
-(** Cache discipline.
-
-    - [Cached] — normal operation: serve cached results, recompute on
-      miss.
-    - [Uncached] — recompute at every [get]. This is the
-      restart-from-scratch baseline the old mid-end implemented by
-      calling [Loops.analyze]/[Modref.compute]/… inline, and what the
-      bench suite compares the cache against.
-    - [Paranoid] — recompute at every [get] anyway and compare with the
-      cached result; raise {!Stale} on mismatch. Catches passes whose
-      [preserves] claims are wrong. *)
-type mode = Cached | Uncached | Paranoid
-
-exception Stale of string
-(** Raised in [Paranoid] mode when a cached analysis disagrees with a
-    fresh recomputation — i.e. a pass failed to invalidate it. *)
+    Every lookup computes a fresh result from the module as it stands,
+    so no result can be stale after a rewrite and passes declare nothing
+    about what they clobber. The manager counts lookups per analysis.
+    The module-level analyses are {!Callgraph} and {!Modref}; the rest
+    ({!Loops}, {!Alias}, kernel classifications from {!Typeinfer}) are
+    per function. *)
 
 type t
 
-val create : ?mode:mode -> Cgcm_ir.Ir.modul -> t
-(** A manager for [modul]. Default mode is [Cached]. *)
-
+val create : Cgcm_ir.Ir.modul -> t
 val modul : t -> Cgcm_ir.Ir.modul
-val mode : t -> mode
 
-(** {1 Getters}
+(** {1 Lookups}
 
-    Each returns the cached result when valid, computing (and caching)
-    it otherwise, per {!mode}. *)
+    Each computes the analysis afresh and counts one lookup. *)
 
 val callgraph : t -> Callgraph.t
 val modref : t -> Modref.t
-val dominance : t -> Cgcm_ir.Ir.func -> Cgcm_ir.Dominance.t
 val loops : t -> Cgcm_ir.Ir.func -> Loops.t
 val alias : t -> Cgcm_ir.Ir.func -> Alias.t
-val liveness : t -> Cgcm_ir.Ir.func -> Liveness.t
 val kernel_types : t -> Cgcm_ir.Ir.func -> Typeinfer.kernel_types
-
-(** {1 Invalidation}
-
-    A pass (or rewrite helper) that changed IR calls one of these with
-    the set of analyses it {e preserved}; everything else is dropped. *)
-
-val invalidate_function : t -> ?preserve:kind list -> Cgcm_ir.Ir.func -> unit
-(** Drop [f]'s function-level results and the module-level results,
-    except those in [preserve] (default: preserve nothing). *)
-
-val invalidate_module : t -> ?preserve:kind list -> unit -> unit
-(** Drop every cached result not in [preserve]. For passes that edit
-    many functions (or add/remove functions) and track preservation at
-    module granularity. *)
-
-val patch_loops : t -> Cgcm_ir.Ir.func -> (Loops.t -> Loops.t) -> unit
-(** Apply an incremental patch ({!Loops.note_preheader},
-    {!Loops.note_edge_block}) to [f]'s cached loop result, if present.
-    A no-op when nothing is cached — the next [loops] call recomputes
-    from the rewritten IR anyway. *)
-
-val set_dominance : t -> Cgcm_ir.Ir.func -> Cgcm_ir.Dominance.t -> unit
-(** Seed [f]'s dominator cache with a known-fresh result (e.g. after a
-    rewrite recomputed it for its own use). *)
 
 (** {1 Instrumentation} *)
 
 val stats : t -> (string * int * int) list
-(** [(analysis, hits, misses)] per kind, in {!all_kinds} order. A hit
-    is a [get] served from cache (in [Paranoid] mode: one that matched
-    the recomputation); a miss computed and cached a fresh result. *)
-
-val reset_stats : t -> unit
+(** [(analysis, hits, misses)] per analysis, in a fixed order. Nothing
+    is cached, so hits are always 0 and misses count the lookups. *)

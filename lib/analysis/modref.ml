@@ -142,14 +142,3 @@ let call_may_touch (t : t) ~(callee : string) (obj : Alias.obj) : bool =
         (* a caller-local unit: the callee could only reach it through a
            pointer, and [unknown = false] says it never dereferences one *)
         false)
-
-(* Canonical equality for the analysis manager's paranoid mode. *)
-let equal (a : t) (b : t) =
-  let canon (t : t) =
-    Hashtbl.fold
-      (fun k s acc ->
-        (k, List.sort_uniq compare s.globals, s.unknown) :: acc)
-      t []
-    |> List.sort compare
-  in
-  canon a = canon b

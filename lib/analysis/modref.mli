@@ -37,7 +37,3 @@ val call_may_touch : t -> callee:string -> Alias.obj -> bool
 (** May a call to [callee] touch [obj] from CPU code? Callee-local units
     are invisible to callers; caller-local units are reachable only
     through dereferenced pointers, which [unknown] accounts for. *)
-
-val equal : t -> t -> bool
-(** Canonical equality (hashtable order ignored), for the analysis
-    manager's paranoid mode. *)

@@ -138,9 +138,3 @@ let infer_kernel (f : Ir.func) : kernel_types =
       (Ir.globals_used f)
   in
   { param_cls; global_cls }
-
-(* Equality of kernel classifications, for the analysis manager's
-   paranoid mode (global order canonicalized). *)
-let equal_kernel_types a b =
-  a.param_cls = b.param_cls
-  && List.sort compare a.global_cls = List.sort compare b.global_cls

@@ -36,7 +36,3 @@ type kernel_types = {
 val infer_kernel : Cgcm_ir.Ir.func -> kernel_types
 (** Classify every live-in of a kernel: its parameters (the launch
     operands) and the globals its body references. *)
-
-val equal_kernel_types : kernel_types -> kernel_types -> bool
-(** Equality with global order canonicalized, for the analysis
-    manager's paranoid mode. *)

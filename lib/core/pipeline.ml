@@ -26,7 +26,6 @@ type compiled = {
   level : level;
   parallel : Doall.mode;
   pass_stats : Pass.pass_stat list;  (* one row per pass execution *)
-  cache_stats : (string * int * int) list;  (* analysis, hits, misses *)
 }
 
 let plan_of_level = function
@@ -34,18 +33,17 @@ let plan_of_level = function
   | Managed -> Pass.managed_pipeline
   | Optimized -> Pass.optimized_pipeline
 
-let compile ?(parallel = Doall.Auto) ?(level = Optimized) ?plan
-    ?(analysis = Manager.Cached) ?hooks ?verify (source : string) : compiled =
+let compile ?(parallel = Doall.Auto) ?(level = Optimized) ?plan ?hooks ?verify
+    (source : string) : compiled =
   let ast = Parser.parse_string source in
   let ast, doall = Doall.transform ~mode:parallel ast in
   let modul = Lower.lower_program ast in
-  (* The pass framework runs the §5.3 schedule over a caching analysis
-     manager; simplification runs in every configuration (including the
-     sequential baseline) so cost comparisons stay fair. An explicit
-     [plan] overrides the level's; the level still names what the
-     interpreter should expect of the module. *)
+  (* The pass framework runs the §5.3 schedule; simplification runs in
+     every configuration (including the sequential baseline) so cost
+     comparisons stay fair. An explicit [plan] overrides the level's; the
+     level still names what the interpreter should expect of the
+     module. *)
   let plan = match plan with Some p -> p | None -> plan_of_level level in
-  let mgr = Manager.create ~mode:analysis modul in
   let stats = ref [] in
   let base = match hooks with Some h -> h | None -> Pass.default_hooks in
   let hooks =
@@ -57,15 +55,8 @@ let compile ?(parallel = Doall.Auto) ?(level = Optimized) ?plan
           base.Pass.on_stat s);
     }
   in
-  Pass.run_plan ~hooks ?verify mgr plan;
-  {
-    modul;
-    doall;
-    level;
-    parallel;
-    pass_stats = List.rev !stats;
-    cache_stats = Manager.stats mgr;
-  }
+  Pass.run_plan ~hooks ?verify (Manager.create modul) plan;
+  { modul; doall; level; parallel; pass_stats = List.rev !stats }
 
 (* The paper's execution configurations. *)
 type execution =
@@ -176,10 +167,10 @@ let parse_mode m =
   | Some e, None -> Ok (e, Mem_backend.Explicit)
   | Some e, Some s -> Result.map (fun b -> (e, b)) (Mem_backend.of_string s)
 
-let compile_for ?plan ?analysis ?hooks ?verify execution source =
+let compile_for ?plan ?hooks ?verify execution source =
   let s = shape execution in
-  compile ~parallel:s.doall_mode ~level:s.compile_level ?plan ?analysis ?hooks
-    ?verify source
+  compile ~parallel:s.doall_mode ~level:s.compile_level ?plan ?hooks ?verify
+    source
 
 let config ?(cost = Cgcm_gpusim.Cost_model.default) ?(trace = false)
     ?(engine = Interp.default_config.Interp.engine) ?dirty_spans ?faults

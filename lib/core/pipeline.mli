@@ -20,8 +20,6 @@ type compiled = {
   parallel : Doall.mode;
   pass_stats : Cgcm_transform.Pass.pass_stat list;
       (** one row per pass execution, in execution order *)
-  cache_stats : (string * int * int) list;
-      (** per-analysis (name, cache hits, misses) from the manager *)
 }
 
 val plan_of_level : level -> Cgcm_transform.Pass.plan
@@ -30,18 +28,14 @@ val compile :
   ?parallel:Doall.mode ->
   ?level:level ->
   ?plan:Cgcm_transform.Pass.plan ->
-  ?analysis:Cgcm_analysis.Manager.mode ->
   ?hooks:Cgcm_transform.Pass.hooks ->
   ?verify:Cgcm_transform.Pass.verify_policy ->
   string ->
   compiled
 (** Compile CGC source text. The module is verified after lowering and
     (by default) after every transformation. [plan] overrides the pass
-    plan the [level] implies — e.g. a custom [--passes] spec; [analysis]
-    selects the manager's cache discipline ([Uncached] is the
-    restart-from-scratch baseline the benchmarks compare against,
-    [Paranoid] cross-checks every cached result); [hooks] observes each
-    pass execution. Raises the frontend/transform exceptions
+    plan the [level] implies — e.g. a custom [--passes] spec; [hooks]
+    observes each pass execution. Raises the frontend/transform exceptions
     ([Parse_error], [Sema_error], [Doall_error], [Ill_formed]) on bad
     input or (for the latter) a compiler bug. *)
 
@@ -90,7 +84,6 @@ val parse_mode :
 
 val compile_for :
   ?plan:Cgcm_transform.Pass.plan ->
-  ?analysis:Cgcm_analysis.Manager.mode ->
   ?hooks:Cgcm_transform.Pass.hooks ->
   ?verify:Cgcm_transform.Pass.verify_policy ->
   execution ->

@@ -50,8 +50,3 @@ let dominates t a b =
 
 let idom t b = t.idom.(b)
 
-(* Structural equality, used by the analysis manager's paranoid mode to
-   detect stale cached dominator trees. The idom array is a canonical
-   representation; rpo_index is deterministic given the CFG, so comparing
-   both is safe and cheap. *)
-let equal a b = a.idom = b.idom && a.rpo_index = b.rpo_index

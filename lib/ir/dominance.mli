@@ -11,7 +11,3 @@ val dominates : t -> int -> int -> bool
 
 val idom : t -> int -> int
 (** Immediate dominator; the entry's idom is itself; -1 = unreachable. *)
-
-val equal : t -> t -> bool
-(** Structural equality (same CFG → same tree); the analysis manager's
-    paranoid mode compares cached against fresh results with this. *)

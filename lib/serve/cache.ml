@@ -1,11 +1,10 @@
 (* Cross-request compilation cache.
 
-   Extends the analysis manager's cache discipline (Cgcm_analysis.Manager:
-   typed results + hit/miss counters) across requests: compiled modules
-   are immutable once the pass pipeline finishes, so a daemon serving a
-   stream of requests can key them by a digest of (source, mode) and
-   reuse them for every tenant. Bounded LRU: the daemon must survive
-   millions of distinct sources without growing without bound. *)
+   Compiled modules are immutable once the pass pipeline finishes, so a
+   daemon serving a stream of requests can key them by a digest of
+   (source, mode) and reuse them for every tenant. Bounded LRU: the
+   daemon must survive millions of distinct sources without growing
+   without bound. *)
 
 type ('k, 'v) t = {
   capacity : int;

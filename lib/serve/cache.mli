@@ -1,8 +1,7 @@
 (** Bounded LRU cache with hit/miss counters — the serve daemon's
-    cross-request compilation cache, extending the per-compile cache
-    discipline of {!Cgcm_analysis.Manager} across requests. Compiled
-    modules are immutable once the pass pipeline finishes, so entries
-    keyed by a digest of (source, mode) are shared by every tenant. *)
+    cross-request compilation cache. Compiled modules are immutable once
+    the pass pipeline finishes, so entries keyed by a digest of
+    (source, mode) are shared by every tenant. *)
 
 type ('k, 'v) t
 

@@ -46,8 +46,7 @@ let add_param (f : Ir.func) : int =
 
 (* Promote one registered fixed-size alloca of [f] into all callers.
    Returns true on change. *)
-let promote_one (mgr : Cgcm_analysis.Manager.t) (m : Ir.modul)
-    (cg : Callgraph.t) (f : Ir.func) : bool =
+let promote_one (m : Ir.modul) (cg : Callgraph.t) (f : Ir.func) : bool =
   if f.Ir.fname = "main" || f.Ir.fkind = Ir.Kernel then false
   else if Callgraph.is_recursive cg f.Ir.fname then false
   else begin
@@ -102,46 +101,18 @@ let promote_one (mgr : Cgcm_analysis.Manager.t) (m : Ir.modul)
                   [ Ir.Call (dst, name, args @ [ Ir.Reg slot ]) ]
                 | i -> [ i ]))
           caller_names;
-        (* Register renumbering and the callers' new slots clobber the
-           instruction-keyed analyses; call sites stay in their blocks
-           and the CFG is untouched, so the call graph and the loop and
-           dominator trees survive. The callee's accesses now go through
-           a pointer parameter, which flips its mod/ref summary. *)
-        let open Cgcm_analysis in
-        let preserve =
-          [
-            Manager.Loops; Manager.Dominance; Manager.Callgraph;
-            Manager.Kernel_types;
-          ]
-        in
-        Manager.invalidate_function mgr ~preserve f;
-        List.iter
-          (fun caller_name ->
-            Manager.invalidate_function mgr ~preserve
-              (Ir.find_func_exn m caller_name))
-          caller_names;
         true
     end
   end
 
-(* Manager-driven step: one sweep over the module. The fixpoint
-   combinator in the pass framework (or the legacy [run] below) iterates
-   it to convergence so promoted slots keep climbing the call graph. *)
+(* The pass step: one sweep over the module. The pass framework's
+   fixpoint combinator iterates it to convergence so promoted slots keep
+   climbing the call graph. *)
 let step (mgr : Cgcm_analysis.Manager.t) : bool =
   let open Cgcm_analysis in
   let m = Manager.modul mgr in
   let cg = Manager.callgraph mgr in
   List.fold_left
     (fun acc (f : Ir.func) ->
-      if f.Ir.fkind = Ir.Cpu && promote_one mgr m cg f then true else acc)
+      if f.Ir.fkind = Ir.Cpu && promote_one m cg f then true else acc)
     false m.Ir.funcs
-
-let run ?(max_iterations = 8) (m : Ir.modul) =
-  let mgr = Cgcm_analysis.Manager.create m in
-  let continue_ = ref true in
-  let iter = ref 0 in
-  while !continue_ && !iter < max_iterations do
-    incr iter;
-    continue_ := step mgr
-  done;
-  Cgcm_ir.Verifier.verify_modul m

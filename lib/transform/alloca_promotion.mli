@@ -6,9 +6,7 @@
     locals being fresh per call could observe the reuse; CGC programs
     initialise locals before use. *)
 
-val run : ?max_iterations:int -> Cgcm_ir.Ir.modul -> unit
-
 val step : Cgcm_analysis.Manager.t -> bool
-(** One promotion sweep over the module through the analysis manager;
-    [true] iff anything changed. Iterated to convergence by the pass
-    framework's fixpoint combinator. *)
+(** One promotion sweep over the module; [true] iff anything changed.
+    Iterated to convergence by the pass framework's fixpoint
+    combinator. *)

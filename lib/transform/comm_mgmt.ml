@@ -82,10 +82,7 @@ let manage_launch (f : Ir.func) (types : Typeinfer.kernel_types)
   @ [ Ir.Launch { kernel; trip; args = new_args } ]
   @ !post
 
-(* Manage every launch in the module. The kernel classifications come
-   through the manager, so a later glue-kernels or fuzz re-run reuses
-   them; launches never feed the loop, dominator, call-graph or mod/ref
-   analyses, so wrapping them preserves all four. *)
+(* Manage every launch in the module. *)
 let step (mgr : Cgcm_analysis.Manager.t) : bool =
   let open Cgcm_analysis in
   let m = Manager.modul mgr in
@@ -99,30 +96,15 @@ let step (mgr : Cgcm_analysis.Manager.t) : bool =
     (fun (f : Ir.func) ->
       if f.Ir.fkind = Ir.Cpu then begin
         register_escaping_allocas f;
-        let touched = ref false in
         Rewrite.expand_instrs f (fun _bi i ->
             match i with
             | Ir.Launch { kernel; trip; args } ->
-              touched := true;
+              changed := true;
               manage_launch f (types_of kernel) ~kernel ~trip ~args
-            | i -> [ i ]);
-        if !touched then begin
-          changed := true;
-          Manager.invalidate_function mgr
-            ~preserve:
-              [
-                Manager.Loops; Manager.Dominance; Manager.Callgraph;
-                Manager.Modref; Manager.Kernel_types;
-              ]
-            f
-        end
+            | i -> [ i ])
       end)
     m.Ir.funcs;
   !changed
-
-let run (m : Ir.modul) =
-  ignore (step (Cgcm_analysis.Manager.create m));
-  Cgcm_ir.Verifier.verify_modul m
 
 (* Fault injection for the sanitizer's mutation tests: delete the [n]th
    occurrence (textual order across CPU functions) of a management

@@ -29,9 +29,6 @@ val manage_launch :
     instruction sequence. Exposed for the glue-kernel pass, which must
     manage the launches it synthesises. *)
 
-val run : Cgcm_ir.Ir.modul -> unit
-(** Manage every launch in the module; verifies the result. *)
-
 val drop_nth_call : Cgcm_ir.Ir.modul -> intrinsic:string -> n:int -> bool
 (** Fault injection for the coherence sanitizer's mutation tests: delete
     the [n]th occurrence (textual order across CPU functions) of the

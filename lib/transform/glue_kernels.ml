@@ -167,7 +167,7 @@ let outline_region (m : Ir.modul) ~(host : Ir.func) ~(name : string)
 
 (* Scan one block for an outlining opportunity. Returns true on change. *)
 let try_block (mgr : Cgcm_analysis.Manager.t) (m : Ir.modul) (f : Ir.func)
-    (bi : int) ~(max_insts : int) : bool =
+    (bi : int) : bool =
   let b = f.Ir.blocks.(bi) in
   let instrs = Array.of_list b.Ir.instrs in
   let n = Array.length instrs in
@@ -196,7 +196,7 @@ let try_block (mgr : Cgcm_analysis.Manager.t) (m : Ir.modul) (f : Ir.func)
     if
       !ok && region <> []
       && has_memory_op
-      && List.length region <= max_insts
+      && List.length region <= default_max_insts
     then Some (l1, l2, region)
     else None
   in
@@ -245,44 +245,25 @@ let try_block (mgr : Cgcm_analysis.Manager.t) (m : Ir.modul) (f : Ir.func)
       true
   end
 
-(* Manager-driven step: outline to convergence, per CPU function. The
-   rewrites stay within existing blocks (no CFG edit) and never touch an
-   existing kernel, so loop, dominator and kernel-type results survive;
-   the moved loads/stores change the host function's mod/ref summary and
-   the new kernel functions change the call-graph node set. *)
-let step_with ~max_insts (mgr : Cgcm_analysis.Manager.t) : bool =
-  let open Cgcm_analysis in
-  let m = Manager.modul mgr in
+(* The pass step: outline to convergence, per CPU function. *)
+let step (mgr : Cgcm_analysis.Manager.t) : bool =
+  let m = Cgcm_analysis.Manager.modul mgr in
   let any = ref false in
   List.iter
     (fun (f : Ir.func) ->
       if f.Ir.fkind = Ir.Cpu then begin
         let changed = ref true in
-        let touched = ref false in
         while !changed do
           changed := false;
           Array.iteri
             (fun bi _ ->
               if bi < Array.length f.Ir.blocks then
-                if try_block mgr m f bi ~max_insts then begin
+                if try_block mgr m f bi then begin
                   changed := true;
-                  touched := true
+                  any := true
                 end)
             f.Ir.blocks
-        done;
-        if !touched then begin
-          any := true;
-          Manager.invalidate_function mgr
-            ~preserve:
-              [ Manager.Loops; Manager.Dominance; Manager.Kernel_types ]
-            f
-        end
+        done
       end)
     m.Ir.funcs;
   !any
-
-let step mgr = step_with ~max_insts:default_max_insts mgr
-
-let run ?(max_insts = default_max_insts) (m : Ir.modul) =
-  ignore (step_with ~max_insts (Cgcm_analysis.Manager.create m));
-  Cgcm_ir.Verifier.verify_modul m

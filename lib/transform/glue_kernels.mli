@@ -12,8 +12,6 @@
 
 val default_max_insts : int
 
-val run : ?max_insts:int -> Cgcm_ir.Ir.modul -> unit
-
 val step : Cgcm_analysis.Manager.t -> bool
-(** Outline to convergence (at [default_max_insts]) through the
-    analysis manager; [true] iff anything was outlined. *)
+(** Outline to convergence (at [default_max_insts]); [true] iff
+    anything was outlined. *)

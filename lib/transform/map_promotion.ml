@@ -195,16 +195,14 @@ let delete_unmaps (f : Ir.func) ~in_region ~value ~family =
       | i -> [ i ])
 
 (* Try to promote one candidate out of loop [li]; returns true on
-   change. The alias result comes through the manager — in the cached
-   mode the per-candidate lookups the old code paid for become hits, and
-   the CFG edits patch the cached loop analysis instead of forcing the
-   restart below to recompute it. *)
-let promote_loop_candidate (mgr : Manager.t) (f : Ir.func) (modref : Modref.t)
-    (loops : Loops.t) ~li (c : candidate) : bool =
+   change. [loops] and [alias] stay valid across the candidates of one
+   restart: a candidate that fails inserts no instruction. *)
+let promote_loop_candidate (f : Ir.func) (modref : Modref.t) (loops : Loops.t)
+    (alias : Alias.t Lazy.t) ~li (c : candidate) : bool =
   let l = loops.Loops.loops.(li) in
   if not c.has_unmap then false
   else begin
-    let alias = Manager.alias mgr f in
+    let alias = Lazy.force alias in
     let in_region bi = Loops.in_loop l bi in
     let db = def_blocks f in
     let chain = ref [] in
@@ -217,7 +215,7 @@ let promote_loop_candidate (mgr : Manager.t) (f : Ir.func) (modref : Modref.t)
       let obj = Alias.underlying alias c.value in
       if mod_or_ref f alias modref ~in_region obj then false
       else begin
-        match Rewrite.make_preheader ~mgr f loops ~li with
+        match Rewrite.make_preheader f loops ~li with
         | None -> false
         | Some ph ->
           let mapf, unmapf, releasef = fns_of_family c.family in
@@ -229,7 +227,7 @@ let promote_loop_candidate (mgr : Manager.t) (f : Ir.func) (modref : Modref.t)
           List.iter
             (fun (from_, to_) ->
               ignore
-                (Rewrite.split_edge ~mgr f ~from_ ~to_
+                (Rewrite.split_edge f ~from_ ~to_
                    ~instrs:
                      [
                        Ir.Call (None, unmapf, [ v' ]);
@@ -241,22 +239,21 @@ let promote_loop_candidate (mgr : Manager.t) (f : Ir.func) (modref : Modref.t)
   end
 
 (* One pass over all loops of a function, innermost first; restarts from
-   the loop analysis after each change (the CFG mutates). Under the
-   cached manager the restart is served by the patched result; the
-   uncached mode recomputes here exactly like the old code did. *)
+   fresh loop and alias analyses after each change (the CFG mutates). *)
 let promote_loops (mgr : Manager.t) (f : Ir.func) (modref : Modref.t) : bool =
   let changed = ref false in
   let continue_ = ref true in
   while !continue_ do
     continue_ := false;
     let loops = Manager.loops mgr f in
+    let alias = lazy (Manager.alias mgr f) in
     let order = Loops.innermost_first loops in
     let try_one li =
       let l = loops.Loops.loops.(li) in
       let in_region bi = Loops.in_loop l bi in
       let cands = candidates_in f ~in_region in
       List.exists
-        (fun c -> promote_loop_candidate mgr f modref loops ~li c)
+        (fun c -> promote_loop_candidate f modref loops alias ~li c)
         cands
     in
     match List.find_opt try_one order with
@@ -363,22 +360,6 @@ let promote_function (mgr : Manager.t) (m : Ir.modul) (modref : Modref.t)
                   !pre @ [ i ] @ !post
                 | i -> [ i ]))
           caller_names;
-        (* Instruction-only edits: the deleted unmaps and inserted
-           wrappers are management intrinsics the call graph and
-           mod/ref summaries ignore, but the callee and every caller
-           got new instructions and registers. *)
-        let preserve =
-          [
-            Manager.Loops; Manager.Dominance; Manager.Callgraph;
-            Manager.Modref; Manager.Kernel_types;
-          ]
-        in
-        Manager.invalidate_function mgr ~preserve f;
-        List.iter
-          (fun caller_name ->
-            Manager.invalidate_function mgr ~preserve
-              (Ir.find_func_exn m caller_name))
-          caller_names;
         true
       end
     end
@@ -386,14 +367,11 @@ let promote_function (mgr : Manager.t) (m : Ir.modul) (modref : Modref.t)
 
 (* ------------------------------------------------------------------ *)
 
-(* Manager-driven step: one round of loop- plus function-level
-   promotion. The fixpoint combinator (or the legacy [run] below)
-   iterates it so map operations climb from inner loops to outer loops
-   to callers. The mod/ref and call-graph fetches sit exactly where the
-   old code recomputed them — once per sweep — so the uncached mode
-   reproduces the restart-from-scratch cost and the cached mode turns
-   the re-fetches into hits (promotions only add or delete management
-   intrinsics, which both summaries ignore). *)
+(* The pass step: one round of loop- plus function-level promotion. The
+   pass framework's fixpoint combinator iterates it so map operations
+   climb from inner loops to outer loops to callers. One mod/ref summary
+   serves the whole round: promotions only add or delete management
+   intrinsics and replay private-slot loads, which the summary ignores. *)
 let step (mgr : Manager.t) : bool =
   let m = Manager.modul mgr in
   let changed = ref false in
@@ -404,21 +382,9 @@ let step (mgr : Manager.t) : bool =
         if promote_loops mgr f modref then changed := true)
     m.Ir.funcs;
   let cg = Manager.callgraph mgr in
-  let modref = Manager.modref mgr in
   List.iter
     (fun (f : Ir.func) ->
       if f.Ir.fkind = Ir.Cpu then
         if promote_function mgr m modref cg f then changed := true)
     m.Ir.funcs;
   !changed
-
-(* Iterate loop- and function-level promotion to convergence. *)
-let run ?(max_iterations = 12) (m : Ir.modul) =
-  let mgr = Manager.create m in
-  let continue_ = ref true in
-  let iter = ref 0 in
-  while !continue_ && !iter < max_iterations do
-    incr iter;
-    continue_ := step mgr
-  done;
-  Cgcm_ir.Verifier.verify_modul m

@@ -17,9 +17,7 @@
     to convergence lets map operations climb from inner loops to outer
     loops to callers, as in the paper. Recursive functions are skipped. *)
 
-val run : ?max_iterations:int -> Cgcm_ir.Ir.modul -> unit
-
 val step : Cgcm_analysis.Manager.t -> bool
-(** One round of loop- plus function-level promotion through the
-    analysis manager; [true] iff anything changed. The pass framework's
+(** One round of loop- plus function-level promotion; [true] iff
+    anything changed. The pass framework's
     fixpoint combinator iterates it to convergence. *)

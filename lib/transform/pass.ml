@@ -1,7 +1,7 @@
-(* Pass framework: passes declare requires/preserves and run over the
-   caching analysis manager, composed into plans with fixpoint iteration
-   and executed under instrumentation hooks (per-pass timing, IR deltas,
-   optional snapshot diffing, configurable verification). *)
+(* Pass framework: passes get their analyses from the analysis manager,
+   are composed into plans with fixpoint iteration, and run under
+   instrumentation hooks (per-pass timing, IR deltas, optional snapshot
+   diffing, configurable verification). *)
 
 module Ir = Cgcm_ir.Ir
 module Manager = Cgcm_analysis.Manager
@@ -10,79 +10,47 @@ let src = Logs.Src.create "cgcm.pass" ~doc:"CGCM pass manager"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type t = {
-  name : string;
-  description : string;
-  requires : Manager.kind list;
-  preserves : Manager.kind list;
-  step : Manager.t -> bool;
-}
+type t = { name : string; description : string; step : Manager.t -> bool }
 
-let make ~name ~description ?(requires = []) ?(preserves = []) step =
-  { name; description; requires; preserves; step }
-
-let per_function ?(kinds = [ Ir.Cpu; Ir.Kernel ]) body (mgr : Manager.t) =
-  List.fold_left
-    (fun acc (f : Ir.func) ->
-      if List.mem f.Ir.fkind kinds then body mgr f || acc else acc)
-    false (Manager.modul mgr).Ir.funcs
-
-(* The standard CGCM passes, in their §5.3 schedule order. Each pass's
-   [preserves] set is its contract: what stays valid given the
-   fine-grained invalidation its step already performed. *)
+(* The standard CGCM passes, in their §5.3 schedule order. *)
 let simplify =
-  make ~name:"simplify"
-    ~description:"constant folding, algebraic identities, dead code"
-    ~preserves:[ Manager.Loops; Manager.Dominance; Manager.Callgraph ]
-    Simplify.step
+  {
+    name = "simplify";
+    description = "constant folding, algebraic identities, dead code";
+    step = Simplify.step;
+  }
 
 let comm_mgmt =
-  make ~name:"comm-mgmt"
-    ~description:
+  {
+    name = "comm-mgmt";
+    description =
       "insert map/unmap/release around every launch (use-based type \
-       inference); mark escaping allocas"
-    ~requires:[ Manager.Kernel_types ]
-    ~preserves:
-      [
-        Manager.Loops; Manager.Dominance; Manager.Callgraph; Manager.Modref;
-        Manager.Kernel_types;
-      ]
-    Comm_mgmt.step
+       inference); mark escaping allocas";
+    step = Comm_mgmt.step;
+  }
 
 let glue_kernels =
-  make ~name:"glue-kernels"
-    ~description:"outline small CPU regions between launches onto the GPU"
-    ~requires:[ Manager.Kernel_types ]
-    ~preserves:[ Manager.Loops; Manager.Dominance; Manager.Kernel_types ]
-    Glue_kernels.step
+  {
+    name = "glue-kernels";
+    description = "outline small CPU regions between launches onto the GPU";
+    step = Glue_kernels.step;
+  }
 
 let alloca_promotion =
-  make ~name:"alloca-promotion"
-    ~description:"preallocate escaping locals in callers' frames"
-    ~requires:[ Manager.Callgraph ]
-    ~preserves:
-      [
-        Manager.Loops; Manager.Dominance; Manager.Callgraph;
-        Manager.Kernel_types;
-      ]
-    Alloca_promotion.step
+  {
+    name = "alloca-promotion";
+    description = "preallocate escaping locals in callers' frames";
+    step = Alloca_promotion.step;
+  }
 
 let map_promotion =
-  make ~name:"map-promotion"
-    ~description:
+  {
+    name = "map-promotion";
+    description =
       "hoist run-time calls out of loops and up the call graph (acyclic \
-       communication)"
-    ~requires:
-      [
-        Manager.Loops; Manager.Dominance; Manager.Alias; Manager.Callgraph;
-        Manager.Modref;
-      ]
-    ~preserves:
-      [
-        Manager.Loops; Manager.Dominance; Manager.Callgraph; Manager.Modref;
-        Manager.Kernel_types;
-      ]
-    Map_promotion.step
+       communication)";
+    step = Map_promotion.step;
+  }
 
 (* The single registry: [find] and the CLI enumerate from here. *)
 let all =
@@ -246,7 +214,6 @@ let run_plan ?(hooks = default_hooks) ?(verify = Always) (mgr : Manager.t)
     let t0 = Sys.time () in
     let changed = p.step mgr in
     let dt = (Sys.time () -. t0) *. 1000.0 in
-    if changed then Manager.invalidate_module mgr ~preserve:p.preserves ();
     (match verify with
     | Always -> Cgcm_ir.Verifier.verify_modul m
     | On_change -> if changed then Cgcm_ir.Verifier.verify_modul m

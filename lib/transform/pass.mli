@@ -1,29 +1,14 @@
-(** Pass framework: passes as records declaring what they require and
-    preserve, composed into plans (with fixpoint iteration) and run over
-    a caching {!Cgcm_analysis.Manager} under instrumentation hooks. *)
+(** Pass framework: passes composed into plans (with fixpoint
+    iteration) and run under instrumentation hooks, getting their
+    analyses from a {!Cgcm_analysis.Manager}. *)
 
 module Manager = Cgcm_analysis.Manager
 
 type t = {
   name : string;
   description : string;
-  requires : Manager.kind list;
-      (** analyses the pass consults (documentation; fetches go through
-          the manager either way) *)
-  preserves : Manager.kind list;
-      (** analyses still valid after the pass ran and did its own
-          fine-grained invalidation/patching; everything else is
-          dropped module-wide when the pass reports a change *)
   step : Manager.t -> bool;  (** [true] iff the pass changed the IR *)
 }
-
-val make :
-  name:string ->
-  description:string ->
-  ?requires:Manager.kind list ->
-  ?preserves:Manager.kind list ->
-  (Manager.t -> bool) ->
-  t
 
 (** The standard CGCM passes. *)
 
@@ -52,14 +37,6 @@ val default_fixpoint_iters : int
 val fixpoint : ?max_iter:int -> plan -> plan_item
 (** The convergence combinator that subsumes the hand-rolled loops the
     promotion passes used to carry. *)
-
-val per_function :
-  ?kinds:Cgcm_ir.Ir.fkind list ->
-  (Manager.t -> Cgcm_ir.Ir.func -> bool) ->
-  Manager.t ->
-  bool
-(** Lift a per-function step over the module's functions (all kinds by
-    default); [true] iff any function changed. *)
 
 val unmanaged_plan : plan
 (** Simplify only: the sequential baseline's pipeline. *)
@@ -115,14 +92,11 @@ val default_hooks : hooks
 
 val run_plan :
   ?hooks:hooks -> ?verify:verify_policy -> Manager.t -> plan -> unit
-(** Execute [plan] over the manager's module. After each pass execution
-    that changed the IR, analyses outside the pass's [preserves] set are
-    invalidated module-wide (the pass's own finer-grained invalidation
-    already ran inside [step]). *)
+(** Execute [plan] over the manager's module. *)
 
 val run_pipeline : plan -> Cgcm_ir.Ir.modul -> unit
-(** Convenience: run over a fresh cached manager with default hooks and
-    the [Always] verify policy. *)
+(** Convenience: run over a new manager with default hooks and the
+    [Always] verify policy. *)
 
 (** {1 Module metrics} *)
 

@@ -1,17 +1,7 @@
-(* Small IR rewriting helpers shared by the transformation passes.
-
-   The CFG-editing helpers ([split_edge], [make_preheader]) optionally
-   take the analysis manager: they patch the cached loop analysis
-   incrementally (the new block is only ever appended, so existing loop
-   structure is untouched) and drop the function-level analyses the edit
-   clobbered (dominators, alias, liveness). Module-level effects of the
-   *instructions* a caller places in the new block remain the caller's
-   responsibility — the helpers assume they are management intrinsics,
-   which the call graph and mod/ref summaries ignore. *)
+(* Small IR rewriting helpers shared by the transformation passes. *)
 
 module Ir = Cgcm_ir.Ir
 module Loops = Cgcm_analysis.Loops
-module Manager = Cgcm_analysis.Manager
 
 (* Replace instruction lists block by block; [f] maps one instruction to a
    sequence. *)
@@ -42,28 +32,16 @@ let redirect_edge (func : Ir.func) ~from_ ~to_ ~to_' =
       Ir.Cbr (v, (if t1 = to_ then to_' else t1), if t2 = to_ then to_' else t2)
     | t -> t)
 
-(* What a CFG edit leaves intact: loop info is patched separately, and
-   the intrinsic-only instructions our callers insert are invisible to
-   the call graph and mod/ref summaries. *)
-let cfg_edit_preserves =
-  [ Manager.Loops; Manager.Callgraph; Manager.Modref; Manager.Kernel_types ]
-
 (* Split the edge [from_ -> to_] with a fresh block holding [instrs]. *)
-let split_edge ?mgr (func : Ir.func) ~from_ ~to_ ~instrs =
+let split_edge (func : Ir.func) ~from_ ~to_ ~instrs =
   let nb = Ir.add_block func { Ir.instrs; term = Ir.Br to_ } in
   redirect_edge func ~from_ ~to_ ~to_':nb;
-  (match mgr with
-  | Some mgr ->
-    Manager.patch_loops mgr func (fun lt ->
-        Loops.note_edge_block lt ~from_ ~to_ ~nb);
-    Manager.invalidate_function mgr ~preserve:cfg_edit_preserves func
-  | None -> ());
   nb
 
 (* Create a preheader: a block that is the unique non-loop predecessor
    of loop [li]'s header. Returns its index, or None if the header is
    the function entry. *)
-let make_preheader ?mgr (func : Ir.func) (loops : Loops.t) ~li =
+let make_preheader (func : Ir.func) (loops : Loops.t) ~li =
   let l = loops.Loops.loops.(li) in
   if l.Loops.header = 0 then None
   else begin
@@ -76,11 +54,6 @@ let make_preheader ?mgr (func : Ir.func) (loops : Loops.t) ~li =
       List.iter
         (fun p -> redirect_edge func ~from_:p ~to_:header ~to_':ph)
         entries;
-      (match mgr with
-      | Some mgr ->
-        Manager.patch_loops mgr func (fun lt -> Loops.note_preheader lt ~li ~ph);
-        Manager.invalidate_function mgr ~preserve:cfg_edit_preserves func
-      | None -> ());
       Some ph
   end
 

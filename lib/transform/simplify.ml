@@ -159,23 +159,9 @@ let run_func (f : Ir.func) =
   done;
   !changed
 
-(* Manager-driven step. Simplify never touches the CFG or a call
-   instruction, so loop, dominator and call-graph results survive;
-   substitution and DCE clobber everything keyed to instructions. *)
+(* The pass step: simplify every function. *)
 let step (mgr : Cgcm_analysis.Manager.t) : bool =
-  let open Cgcm_analysis in
   List.fold_left
-    (fun acc (f : Ir.func) ->
-      if run_func f then begin
-        Manager.invalidate_function mgr
-          ~preserve:[ Manager.Loops; Manager.Dominance; Manager.Callgraph ]
-          f;
-        true
-      end
-      else acc)
+    (fun acc (f : Ir.func) -> run_func f || acc)
     false
-    (Manager.modul mgr).Ir.funcs
-
-let run (m : Ir.modul) =
-  List.iter (fun f -> ignore (run_func f)) m.Ir.funcs;
-  Cgcm_ir.Verifier.verify_modul m
+    (Cgcm_analysis.Manager.modul mgr).Ir.funcs

@@ -3,7 +3,7 @@
 
 module Ir = Cgcm_ir.Ir
 module Builder = Cgcm_ir.Builder
-module Simplify = Cgcm_transform.Simplify
+module Pass = Cgcm_transform.Pass
 module Pipeline = Cgcm_core.Pipeline
 module Interp = Cgcm_interp.Interp
 
@@ -12,7 +12,8 @@ let check = Alcotest.check
 let instr_count (f : Ir.func) =
   Ir.fold_instrs (fun n _ _ -> n + 1) 0 f
 
-let mk_module f = { Ir.globals = []; funcs = [ f ] }
+let simplify f =
+  Pass.run_pipeline [ Pass.Atom Pass.simplify ] { Ir.globals = []; funcs = [ f ] }
 
 let test_constant_folding () =
   let b = Builder.create ~name:"f" ~nargs:0 ~kind:Ir.Cpu in
@@ -22,7 +23,7 @@ let test_constant_folding () =
   let d = Builder.binop b Ir.Div c (Ir.imm 1) in
   Builder.ret b (Some d);
   let f = Builder.finish b in
-  Simplify.run (mk_module f);
+  simplify f;
   check Alcotest.int "chain folded away" 0 (instr_count f);
   (match f.Ir.blocks.(0).Ir.term with
   | Ir.Ret (Some (Ir.Imm_int 64L)) -> ()
@@ -37,7 +38,7 @@ let test_identities () =
   let r = Builder.binop b Ir.Add m z in
   Builder.ret b (Some r);
   let f = Builder.finish b in
-  Simplify.run (mk_module f);
+  simplify f;
   check Alcotest.int "identities collapse" 0 (instr_count f);
   (match f.Ir.blocks.(0).Ir.term with
   | Ir.Ret (Some (Ir.Reg 0)) -> ()
@@ -48,7 +49,7 @@ let test_division_by_zero_not_folded () =
   let d = Builder.binop b Ir.Div (Ir.imm 5) (Ir.imm 0) in
   Builder.ret b (Some d);
   let f = Builder.finish b in
-  Simplify.run (mk_module f);
+  simplify f;
   (* the faulting division must survive so execution still traps *)
   check Alcotest.int "kept" 1 (instr_count f)
 
@@ -61,7 +62,7 @@ let test_effects_preserved () =
   Builder.call_void b "print_i64" [ Ir.imm 9 ];
   Builder.ret b None;
   let f = Builder.finish b in
-  Simplify.run (mk_module f);
+  simplify f;
   (* alloca, store and call stay; the dead add goes *)
   check Alcotest.int "three effects remain" 3 (instr_count f)
 
@@ -71,7 +72,7 @@ let test_float_folding () =
   let c = Builder.unop b Ir.Float_to_int a in
   Builder.ret b (Some c);
   let f = Builder.finish b in
-  Simplify.run (mk_module f);
+  simplify f;
   (match f.Ir.blocks.(0).Ir.term with
   | Ir.Ret (Some (Ir.Imm_int 7L)) -> ()
   | _ -> Alcotest.fail "float chain not folded")

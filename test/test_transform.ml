@@ -7,9 +7,7 @@ module Parser = Cgcm_frontend.Parser
 module Doall = Cgcm_frontend.Doall
 module Lower = Cgcm_frontend.Lower
 module Comm_mgmt = Cgcm_transform.Comm_mgmt
-module Map_promotion = Cgcm_transform.Map_promotion
-module Alloca_promotion = Cgcm_transform.Alloca_promotion
-module Glue_kernels = Cgcm_transform.Glue_kernels
+module Pass = Cgcm_transform.Pass
 module Pipeline = Cgcm_core.Pipeline
 module Interp = Cgcm_interp.Interp
 module Loops = Cgcm_analysis.Loops
@@ -233,7 +231,7 @@ let test_map_promotion_listing4 () =
   (* Listing 3 -> Listing 4: after promotion no unmap stays inside the
      loop, and a map is available in the preheader *)
   let m = compile_to Pipeline.Managed managed_example in
-  Map_promotion.run m;
+  Pass.run_pipeline [ Pass.fixpoint [ Pass.Atom Pass.map_promotion ] ] m;
   let main = Ir.find_func_exn m "main" in
   check Alcotest.int "no unmap in loops" 0
     (count_calls ~in_loops:true main Ir.Intrinsic.unmap);
@@ -375,9 +373,13 @@ let test_passes_idempotent_validity () =
   (* running the optimizer twice keeps the module verifiable and the
      semantics intact *)
   let m = compile_to Pipeline.Optimized managed_example in
-  Cgcm_transform.Glue_kernels.run m;
-  Alloca_promotion.run m;
-  Map_promotion.run m;
+  Pass.run_pipeline
+    [
+      Pass.Atom Pass.glue_kernels;
+      Pass.fixpoint ~max_iter:8 [ Pass.Atom Pass.alloca_promotion ];
+      Pass.fixpoint [ Pass.Atom Pass.map_promotion ];
+    ]
+    m;
   Cgcm_ir.Verifier.verify_modul m;
   let r = Interp.run m in
   let _, seq = Pipeline.run Pipeline.Sequential managed_example in
