@@ -23,12 +23,11 @@ type prog_result = {
 let speedup ~(seq : Interp.result) (r : Interp.result) =
   seq.Interp.wall /. r.Interp.wall
 
-let run_program ?(cost = Cgcm_gpusim.Cost_model.default) ?engine ?dirty_spans
-    ?jobs ?backend ?page_bytes
-    (prog : Registry.program) : prog_result =
+let run_program ?(cost = Cgcm_gpusim.Cost_model.default) ?engine ?jobs
+    ?backend ?page_bytes (prog : Registry.program) : prog_result =
   let src = prog.Registry.source in
   let run exec =
-    Pipeline.run ~cost ?engine ?dirty_spans ?jobs ?backend ?page_bytes exec src
+    Pipeline.run ~cost ?engine ?jobs ?backend ?page_bytes exec src
   in
   let cseq, seq = run Pipeline.Sequential in
   let _, ie = run Pipeline.Inspector_executor_exec in
@@ -49,12 +48,12 @@ let run_program ?(cost = Cgcm_gpusim.Cost_model.default) ?engine ?dirty_spans
   in
   { prog; seq; ie; unopt; opt; kernels; baseline_applicable; outputs_match }
 
-let run_suite ?cost ?engine ?dirty_spans ?jobs ?backend ?page_bytes
+let run_suite ?cost ?engine ?jobs ?backend ?page_bytes
     ?(progress = fun _ -> ()) () : prog_result list =
   List.map
     (fun p ->
       progress p.Registry.name;
-      run_program ?cost ?engine ?dirty_spans ?jobs ?backend ?page_bytes p)
+      run_program ?cost ?engine ?jobs ?backend ?page_bytes p)
     Registry.all
 
 (* ------------------------------------------------------------------ *)

@@ -22,21 +22,18 @@ val speedup : seq:Interp.result -> Interp.result -> float
 val run_program :
   ?cost:Cgcm_gpusim.Cost_model.t ->
   ?engine:Interp.engine ->
-  ?dirty_spans:bool ->
   ?jobs:int ->
   ?backend:Cgcm_runtime.Mem_backend.kind ->
   ?page_bytes:int ->
   Registry.program ->
   prog_result
-(** Run one program under all four configurations. [engine],
-    [dirty_spans], [backend] and [page_bytes] pass through to
-    {!Pipeline.run} ([dirty_spans] defaults per configuration there;
-    [backend] shapes only the split-memory configurations). *)
+(** Run one program under all four configurations. [engine], [jobs],
+    [backend] and [page_bytes] pass through to {!Pipeline.run} ([backend]
+    shapes only the split-memory configurations). *)
 
 val run_suite :
   ?cost:Cgcm_gpusim.Cost_model.t ->
   ?engine:Interp.engine ->
-  ?dirty_spans:bool ->
   ?jobs:int ->
   ?backend:Cgcm_runtime.Mem_backend.kind ->
   ?page_bytes:int ->

@@ -18,7 +18,7 @@
                  lookups resolved at decode time. Loads and stores hold a
                  per-site block handle so repeated accesses to the same
                  allocation unit skip the greatest-leq lookup and the span
-                 check entirely (Memspace.handle_valid).
+                 check entirely (Memspace.cached_handle).
    - [Tree_walk] the original AST interpreter, kept for differential
                  testing: both engines must produce bit-identical outputs,
                  stats, and traces on every program.
@@ -63,8 +63,6 @@ type config = {
   mode : mode;
   cost : Cost_model.t;
   trace : bool;
-  (* fraction of kernel work the sequential inspector replays on the CPU *)
-  inspector_fraction : float;
   (* dynamic instruction budget: guards against infinite loops *)
   fuel : int;
   (* per-function dynamic instruction counts in the result *)
@@ -96,7 +94,6 @@ let default_config =
     mode = Split;
     cost = Cost_model.default;
     trace = false;
-    inspector_fraction = 0.25;
     fuel = 4_000_000_000;
     profile = false;
     engine = Closures;
@@ -107,6 +104,10 @@ let default_config =
     jobs = 0;
     backend = Mem_backend.Explicit;
   }
+
+(* Inspector-executor: the fraction of a kernel's dynamic instructions
+   the sequential inspector replays, its address slice (EXPERIMENTS.md). *)
+let inspector_fraction = 0.25
 
 type rtval = VI of int64 | VF of float
 
@@ -204,7 +205,6 @@ type machine = {
   mutable kernel_insts : int;
   mutable in_kernel : bool;
   mutable fuel : int;  (* dynamic instruction budget; guards infinite loops *)
-  inspector_fraction : float;
   (* Inspector-executor: allocation units touched by the current kernel,
      base address -> was written. Units allocated after [threshold]
      (thread-local stack slots) are not program data and are excluded. *)
@@ -214,11 +214,9 @@ type machine = {
   profile_on : bool;
   profile_counts : (string, int ref) Hashtbl.t;
   mutable cur_fn : string;
-  (* memory backend: the cold management surface (intrinsics, heap
-     tracking, leak reporting) behind one closure record *)
-  bk : Mem_backend.ops;
-  (* Some iff Split mode runs under the paged backend; the hot access
-     hooks key off this directly *)
+  (* Some iff Split mode runs under the paged backend. Every site that
+     calls the CGCM run-time or the device's separate memory asks
+     [explicit] first; the paged access hooks match on this directly. *)
   paged : Paged.t option;
   (* coherence sanitizer (Split + explicit backend + config.sanitize);
      the same instance the device and run-time hooks drive *)
@@ -245,6 +243,20 @@ let flush_time mc =
     mc.now <- mc.now +. (float_of_int mc.pending_insts *. mc.cost.Cost_model.cpu_cycle);
     mc.pending_insts <- 0
   end
+
+(* The explicit-copy model: Split mode with a separate device memory the
+   CGCM run-time manages. Under the paged backend the hardware manages
+   communication, so the run-time's allocation tracking, the cgcm.*
+   intrinsics and the epoch have nothing to do. *)
+let[@inline] explicit mc = mc.mode = Split && mc.paged == None
+
+(* A run-time call that can advance the clock (transfers, device
+   allocation and frees), threaded through [Runtime.now]. *)
+let timed mc f =
+  mc.rt.Runtime.now <- mc.now;
+  let r = f mc.rt in
+  mc.now <- mc.rt.Runtime.now;
+  r
 
 let tick mc =
   mc.fuel <- mc.fuel - 1;
@@ -286,12 +298,12 @@ let seg_tick mc n =
    is one shared address space: kernels read and write host memory, and
    the cost of getting the bytes across shows up as page faults. *)
 let space mc =
-  if mc.in_kernel && mc.mode = Split && mc.paged == None then
+  if mc.in_kernel && explicit mc then
     mc.dev.Device.mem
   else mc.host
 
 let global_addr mc g =
-  if mc.in_kernel && mc.mode = Split && mc.paged == None then begin
+  if mc.in_kernel && explicit mc then begin
     match mc.shard_log with
     | Some _ -> (
       (* Parallel shard: the pre-launch check guarantees every global the
@@ -307,10 +319,7 @@ let global_addr mc g =
       (* Resolve through the run-time so a first touch (or a re-touch
          after an eviction) gets the same OOM recovery as map, and an
          evicted global is refilled from its written-back host copy. *)
-      mc.rt.Runtime.now <- mc.now;
-      let addr = Runtime.device_global_addr mc.rt g in
-      mc.now <- mc.rt.Runtime.now;
-      addr
+      timed mc (fun rt -> Runtime.device_global_addr rt g)
   end
   else begin
     match Hashtbl.find_opt mc.globals_host g with
@@ -788,10 +797,7 @@ let rec exec_func mc (f : Ir.func) (args : rtval array) : rtval option =
   let finish () =
     (* Stack frame unwinding: expire declareAlloca registrations, free the
        frame's allocation units. *)
-    List.iter
-      (fun base ->
-        if mc.mode = Split then mc.bk.Mem_backend.bk_expire_alloca ~base)
-      !registered;
+    List.iter (fun base -> Runtime.expire_alloca mc.rt ~base) !registered;
     List.iter (fun base -> Memspace.free_local sp base) !frame_allocas
   in
   let rec run_block b =
@@ -860,8 +866,10 @@ let rec exec_func mc (f : Ir.func) (args : rtval array) : rtval option =
       frame.(d) <- VI (Int64.of_int base);
       if info.Ir.aregistered && (not mc.in_kernel) && mc.mode = Split then begin
         flush_time mc;
-        mc.now <- mc.bk.Mem_backend.bk_declare_alloca ~now:mc.now ~base ~size;
-        registered := base :: !registered
+        if explicit mc then begin
+          timed mc (fun rt -> Runtime.declare_alloca rt ~base ~size);
+          registered := base :: !registered
+        end
       end
     end
     | Ir.Call (d, name, args) -> begin
@@ -895,7 +903,7 @@ and dispatch_call mc name argv : rtval option =
     let base = Memspace.alloc ~tag:"heap" mc.host size in
     flush_time mc;
     mc.now <- mc.now +. 100.0;
-    if mc.mode = Split then mc.bk.Mem_backend.bk_register_heap ~base ~size;
+    if explicit mc then Runtime.register_heap mc.rt ~base ~size;
     Some (VI (Int64.of_int base))
   | "realloc", [ p; size ] ->
     (* the run-time wrapper: the old unit leaves the allocation map, the
@@ -910,17 +918,17 @@ and dispatch_call mc name argv : rtval option =
       let _, old_size = Memspace.unit_bounds mc.host old_base in
       Memspace.blit ~src:mc.host ~src_addr:old_base ~dst:mc.host
         ~dst_addr:base ~len:(min old_size size);
-      if mc.mode = Split then
-        mc.now <- mc.bk.Mem_backend.bk_unregister_heap ~now:mc.now ~base:old_base;
+      if explicit mc then
+        timed mc (fun rt -> Runtime.unregister_heap rt ~base:old_base);
       Memspace.free mc.host old_base
     end;
-    if mc.mode = Split then mc.bk.Mem_backend.bk_register_heap ~base ~size;
+    if explicit mc then Runtime.register_heap mc.rt ~base ~size;
     Some (VI (Int64.of_int base))
   | "free", [ p ] ->
     let base = Int64.to_int (as_int p) in
     if mc.mode = Split then begin
       flush_time mc;
-      mc.now <- mc.bk.Mem_backend.bk_unregister_heap ~now:mc.now ~base
+      if explicit mc then timed mc (fun rt -> Runtime.unregister_heap rt ~base)
     end;
     Memspace.free mc.host base;
     None
@@ -934,7 +942,7 @@ and dispatch_call mc name argv : rtval option =
     let size = Int64.to_int (as_int size) in
     if mc.in_kernel then error "gpu_malloc on the device";
     flush_time mc;
-    if mc.mode = Split && mc.paged == None then begin
+    if explicit mc then begin
       let d, now = Device.mem_alloc mc.dev ~now:mc.now size in
       mc.now <- now;
       Some (VI (Int64.of_int d))
@@ -945,7 +953,7 @@ and dispatch_call mc name argv : rtval option =
   | "gpu_free", [ p ] ->
     let d = Int64.to_int (as_int p) in
     flush_time mc;
-    if mc.mode = Split && mc.paged == None then
+    if explicit mc then
       mc.now <- Device.mem_free mc.dev ~now:mc.now d
     else Memspace.free mc.host d;
     None
@@ -954,7 +962,7 @@ and dispatch_call mc name argv : rtval option =
     and src = Int64.to_int (as_int src)
     and len = Int64.to_int (as_int len) in
     flush_time mc;
-    if mc.mode = Split && mc.paged == None then
+    if explicit mc then
       mc.now <-
         Device.memcpy_h_to_d mc.dev ~now:mc.now ~host:mc.host ~host_addr:src
           ~dev_addr:dst ~len
@@ -972,7 +980,7 @@ and dispatch_call mc name argv : rtval option =
     and src = Int64.to_int (as_int src)
     and len = Int64.to_int (as_int len) in
     flush_time mc;
-    if mc.mode = Split && mc.paged == None then
+    if explicit mc then
       mc.now <-
         Device.memcpy_d_to_h mc.dev ~now:mc.now ~host:mc.host ~host_addr:dst
           ~dev_addr:src ~len
@@ -1026,7 +1034,22 @@ and dispatch_call mc name argv : rtval option =
     | None -> error "call to unknown function '%s'" name)
 
 and dispatch_cgcm mc name argv : rtval option =
-  let ptr_of v = Int64.to_int (as_int v) in
+  (* Split mode: the explicit-copy model calls the CGCM run-time (copies,
+     refcounts, epochs). Under the paged backend the hardware manages
+     communication, so map is the identity and the rest do nothing: the
+     same compiled module runs under both and the A/B isolates the
+     management cost. *)
+  let map f p =
+    flush_time mc;
+    let p = Int64.to_int (as_int p) in
+    let d = if explicit mc then timed mc (fun rt -> f rt p) else p in
+    Some (VI (Int64.of_int d))
+  and manage f p =
+    flush_time mc;
+    let p = Int64.to_int (as_int p) in
+    if explicit mc then timed mc (fun rt -> f rt p);
+    None
+  in
   match (mc.mode, name, argv) with
   (* Unified mode: the runtime is an identity — used to differentially
      test that the compiler transformations preserve semantics. The
@@ -1035,37 +1058,12 @@ and dispatch_cgcm mc name argv : rtval option =
   | (Unified | Inspector_executor), ("cgcm.map" | "cgcm.map_array"), [ p ] ->
     Some p
   | (Unified | Inspector_executor), _, _ -> None
-  (* Split mode routes through the selected memory backend: the explicit
-     instance is the CGCM run-time (copies, refcounts, epochs); the
-     paged instance is an identity/no-op surface — the hardware manages
-     communication, so the same compiled module runs under both and the
-     A/B isolates the management cost. *)
-  | Split, "cgcm.map", [ p ] ->
-    flush_time mc;
-    let d, now = mc.bk.Mem_backend.bk_map ~now:mc.now (ptr_of p) in
-    mc.now <- now;
-    Some (VI (Int64.of_int d))
-  | Split, "cgcm.unmap", [ p ] ->
-    flush_time mc;
-    mc.now <- mc.bk.Mem_backend.bk_unmap ~now:mc.now (ptr_of p);
-    None
-  | Split, "cgcm.release", [ p ] ->
-    flush_time mc;
-    mc.now <- mc.bk.Mem_backend.bk_release ~now:mc.now (ptr_of p);
-    None
-  | Split, "cgcm.map_array", [ p ] ->
-    flush_time mc;
-    let d, now = mc.bk.Mem_backend.bk_map_array ~now:mc.now (ptr_of p) in
-    mc.now <- now;
-    Some (VI (Int64.of_int d))
-  | Split, "cgcm.unmap_array", [ p ] ->
-    flush_time mc;
-    mc.now <- mc.bk.Mem_backend.bk_unmap_array ~now:mc.now (ptr_of p);
-    None
-  | Split, "cgcm.release_array", [ p ] ->
-    flush_time mc;
-    mc.now <- mc.bk.Mem_backend.bk_release_array ~now:mc.now (ptr_of p);
-    None
+  | Split, "cgcm.map", [ p ] -> map Runtime.map p
+  | Split, "cgcm.unmap", [ p ] -> manage Runtime.unmap p
+  | Split, "cgcm.release", [ p ] -> manage Runtime.release p
+  | Split, "cgcm.map_array", [ p ] -> map Runtime.map_array p
+  | Split, "cgcm.unmap_array", [ p ] -> manage Runtime.unmap_array p
+  | Split, "cgcm.release_array", [ p ] -> manage Runtime.release_array p
   | Split, _, _ -> error "unknown cgcm intrinsic '%s'" name
 
 and exec_launch mc ~kernel ~trip ~args =
@@ -1076,7 +1074,7 @@ and exec_launch mc ~kernel ~trip ~args =
   in
   if trip > 0 then begin
     flush_time mc;
-    if mc.mode = Split then mc.bk.Mem_backend.bk_bump_epoch ();
+    if explicit mc then Runtime.bump_epoch mc.rt;
     (match mc.san with
     | Some s ->
       let rw =
@@ -1118,8 +1116,7 @@ and exec_launch mc ~kernel ~trip ~args =
        launch that fails any test takes the sequential path — which is
        why jobs = 1 is exactly the closure engine. *)
     let par =
-      mc.engine = Parallel && mc.jobs > 1 && mc.mode = Split
-      && mc.paged == None
+      mc.engine = Parallel && mc.jobs > 1 && explicit mc
       && (not saved_in_kernel)
       && Option.is_none mc.shard_log
       && trip >= mc.cost.Cost_model.par_min_trip
@@ -1174,12 +1171,12 @@ and exec_launch mc ~kernel ~trip ~args =
       (* 1. sequential inspection on the CPU: replay the loop's address
             slice (a fraction of the kernel's dynamic instructions) *)
       let inspect =
-        float_of_int insts *. mc.inspector_fraction
+        float_of_int insts *. inspector_fraction
         *. mc.cost.Cost_model.cpu_cycle
       in
       mc.now <- mc.now +. inspect;
       mc.cpu_insts <-
-        mc.cpu_insts + int_of_float (float_of_int insts *. mc.inspector_fraction);
+        mc.cpu_insts + int_of_float (float_of_int insts *. inspector_fraction);
       (* 2. oracle transfers: one byte per accessed allocation unit,
             batched into a single DMA each way (the scheduler is an
             oracle, so it gathers perfectly) *)
@@ -1419,7 +1416,7 @@ and decode_block mc ~uses ~fold_ok ~promo (b : Ir.block) : cblock =
 and gaddr mc g : ctx -> int =
   let haddr = ref (-1) and daddr = ref (-1) and dgen = ref (-1) in
   fun _ ->
-    if mc.in_kernel && mc.mode = Split && mc.paged == None then begin
+    if mc.in_kernel && explicit mc then begin
       let a = !daddr in
       if a >= 0 && !dgen = mc.dev.Device.globals_gen then a
       else begin
@@ -1695,10 +1692,10 @@ and decode_instr mc avail promo (i : Ir.instr) : cinstr =
       c.fr.(d) <- VI (Int64.of_int base);
       if info.Ir.aregistered && (not mc.in_kernel) && mc.mode = Split then begin
         flush_time mc;
-        mc.rt.Runtime.now <- mc.now;
-        Runtime.declare_alloca mc.rt ~base ~size;
-        mc.now <- mc.rt.Runtime.now;
-        c.registered <- base :: c.registered
+        if explicit mc then begin
+          timed mc (fun rt -> Runtime.declare_alloca rt ~base ~size);
+          c.registered <- base :: c.registered
+        end
       end
   | Ir.Call (d, name, args) ->
     let fargs = List.map (fold_rt mc avail) args in
@@ -1914,45 +1911,21 @@ and decode_load mc avail d ty a : cinstr =
          && not (Hashtbl.mem avail r) ->
     fun c ->
       let addr = Int64.to_int (as_int (Array.unsafe_get c.fr r)) in
-      let h = !cache in
-      let h =
-        if Memspace.handle_valid h c.sp addr 8 then h
-        else begin
-          let h = Memspace.acquire_handle c.sp addr 8 "load" in
-          cache := h;
-          h
-        end
-      in
+      let h = Memspace.cached_handle cache c.sp addr 8 "load" in
       c.fr.(d) <- VI (Memspace.h_load_i64 h addr)
   | Ir.F64, Ir.Reg r
     when (not track) && (not sanit) && pgd == None
          && not (Hashtbl.mem avail r) ->
     fun c ->
       let addr = Int64.to_int (as_int (Array.unsafe_get c.fr r)) in
-      let h = !cache in
-      let h =
-        if Memspace.handle_valid h c.sp addr 8 then h
-        else begin
-          let h = Memspace.acquire_handle c.sp addr 8 "load" in
-          cache := h;
-          h
-        end
-      in
+      let h = Memspace.cached_handle cache c.sp addr 8 "load" in
       c.fr.(d) <- VF (Memspace.h_load_f64 h addr)
   | Ir.I8, Ir.Reg r
     when (not track) && (not sanit) && pgd == None
          && not (Hashtbl.mem avail r) ->
     fun c ->
       let addr = Int64.to_int (as_int (Array.unsafe_get c.fr r)) in
-      let h = !cache in
-      let h =
-        if Memspace.handle_valid h c.sp addr 1 then h
-        else begin
-          let h = Memspace.acquire_handle c.sp addr 1 "load" in
-          cache := h;
-          h
-        end
-      in
+      let h = Memspace.cached_handle cache c.sp addr 1 "load" in
       c.fr.(d) <- VI (Int64.of_int (Memspace.h_load_u8 h addr))
   | _ ->
     let fa = fold_addr mc avail a in
@@ -1969,15 +1942,7 @@ and decode_load mc avail d ty a : cinstr =
          found the unit, so tracking reuses its base. *)
       fun c ->
         let addr = fa c in
-        let h = !cache in
-        let h =
-          if Memspace.handle_valid h c.sp addr len then h
-          else begin
-            let h = Memspace.acquire_handle c.sp addr len "load" in
-            cache := h;
-            h
-          end
-        in
+        let h = Memspace.cached_handle cache c.sp addr len "load" in
         (match mc.track_units with
         | Some tbl -> track_load_h mc tbl (Memspace.handle_base h)
         | None -> ());
@@ -1991,15 +1956,7 @@ and decode_load mc avail d ty a : cinstr =
         fun c ->
           let addr = fa c in
           Sanitizer.on_load s ~addr ~len ~fn:mc.cur_fn ~kernel:mc.in_kernel;
-          let h = !cache in
-          let h =
-            if Memspace.handle_valid h c.sp addr len then h
-            else begin
-              let h = Memspace.acquire_handle c.sp addr len "load" in
-              cache := h;
-              h
-            end
-          in
+          let h = Memspace.cached_handle cache c.sp addr len "load" in
           finish c h addr
       | None -> (
         match pgd with
@@ -2010,28 +1967,12 @@ and decode_load mc avail d ty a : cinstr =
           fun c ->
             let addr = fa c in
             paged_touch_site mc pg site ~addr ~len;
-            let h = !cache in
-            let h =
-              if Memspace.handle_valid h c.sp addr len then h
-              else begin
-                let h = Memspace.acquire_handle c.sp addr len "load" in
-                cache := h;
-                h
-              end
-            in
+            let h = Memspace.cached_handle cache c.sp addr len "load" in
             finish c h addr
         | None ->
           fun c ->
             let addr = fa c in
-            let h = !cache in
-            let h =
-              if Memspace.handle_valid h c.sp addr len then h
-              else begin
-                let h = Memspace.acquire_handle c.sp addr len "load" in
-                cache := h;
-                h
-              end
-            in
+            let h = Memspace.cached_handle cache c.sp addr len "load" in
             finish c h addr)
 
 and decode_store mc avail ty a v : cinstr =
@@ -2047,13 +1988,7 @@ and decode_store mc avail ty a v : cinstr =
 and decode_store_log mc l avail ty a v : cinstr =
   let cache = ref Memspace.null_handle in
   let acquire c addr len =
-    let h = !cache in
-    if Memspace.handle_valid h c.sp addr len then h
-    else begin
-      let h = Memspace.acquire_handle c.sp addr len "store" in
-      cache := h;
-      h
-    end
+    Memspace.cached_handle cache c.sp addr len "store"
   in
   match (ty, a, v) with
   | Ir.F64, Ir.Reg ra, Ir.Reg rv
@@ -2139,15 +2074,7 @@ and decode_store_seq mc avail ty a v : cinstr =
     fun c ->
       let addr = Int64.to_int (as_int (Array.unsafe_get c.fr ra)) in
       let x = as_float (Array.unsafe_get c.fr rv) in
-      let h = !cache in
-      let h =
-        if Memspace.handle_valid h c.sp addr 8 then h
-        else begin
-          let h = Memspace.acquire_handle c.sp addr 8 "store" in
-          cache := h;
-          h
-        end
-      in
+      let h = Memspace.cached_handle cache c.sp addr 8 "store" in
       Memspace.h_store_f64 h addr x
   | Ir.I64, Ir.Reg ra, Ir.Reg rv
     when (not track) && (not sanit) && pgd == None
@@ -2156,41 +2083,19 @@ and decode_store_seq mc avail ty a v : cinstr =
     fun c ->
       let addr = Int64.to_int (as_int (Array.unsafe_get c.fr ra)) in
       let x = as_int (Array.unsafe_get c.fr rv) in
-      let h = !cache in
-      let h =
-        if Memspace.handle_valid h c.sp addr 8 then h
-        else begin
-          let h = Memspace.acquire_handle c.sp addr 8 "store" in
-          cache := h;
-          h
-        end
-      in
+      let h = Memspace.cached_handle cache c.sp addr 8 "store" in
       Memspace.h_store_i64 h addr x
   | Ir.I64, Ir.Reg ra, Ir.Imm_int iv
     when (not track) && (not sanit) && pgd == None
          && not (Hashtbl.mem avail ra) ->
     fun c ->
       let addr = Int64.to_int (as_int (Array.unsafe_get c.fr ra)) in
-      let h = !cache in
-      let h =
-        if Memspace.handle_valid h c.sp addr 8 then h
-        else begin
-          let h = Memspace.acquire_handle c.sp addr 8 "store" in
-          cache := h;
-          h
-        end
-      in
+      let h = Memspace.cached_handle cache c.sp addr 8 "store" in
       Memspace.h_store_i64 h addr iv
   | _ -> (
     let fa = fold_addr mc avail a in
     let acquire c addr len =
-      let h = !cache in
-      if Memspace.handle_valid h c.sp addr len then h
-      else begin
-        let h = Memspace.acquire_handle c.sp addr len "store" in
-        cache := h;
-        h
-      end
+      Memspace.cached_handle cache c.sp addr len "store"
     in
     (* Tracked (inspector-executor) path: when the cached handle is
        valid, tracking reuses its base (no index lookup) and the only
@@ -2380,9 +2285,7 @@ and exec_compiled mc (cf : cfunc) (args : rtval array) : rtval option =
     }
   in
   let finish () =
-    List.iter
-      (fun base -> if mc.mode = Split then Runtime.expire_alloca mc.rt ~base)
-      c.registered;
+    List.iter (fun base -> Runtime.expire_alloca mc.rt ~base) c.registered;
     List.iter (fun base -> Memspace.free_local c.sp base) c.allocas
   in
   let blocks = cf.cblocks in
@@ -2445,11 +2348,6 @@ let run ?(config = default_config) (m : Ir.modul) : result =
     | Split, Mem_backend.Paged -> Some (Paged.create ~dev config.cost)
     | _ -> None
   in
-  let bk =
-    match paged with
-    | Some pg -> Mem_backend.paged pg
-    | None -> Mem_backend.explicit rt
-  in
   let funcs = Hashtbl.create 32 in
   List.iter (fun (f : Ir.func) -> Hashtbl.replace funcs f.Ir.fname f) m.Ir.funcs;
   let mc =
@@ -2471,13 +2369,11 @@ let run ?(config = default_config) (m : Ir.modul) : result =
       kernel_insts = 0;
       in_kernel = false;
       fuel = config.fuel;
-      inspector_fraction = config.inspector_fraction;
       track_units = None;
       track_threshold = max_int;
       profile_on = config.profile;
       profile_counts = Hashtbl.create 16;
       cur_fn = "<toplevel>";
-      bk;
       paged;
       san = sanitizer;
       rw_cache = Hashtbl.create 8;
@@ -2521,7 +2417,7 @@ let run ?(config = default_config) (m : Ir.modul) : result =
     kernel_insts = mc.kernel_insts;
     dev_stats = st;
     rt_stats = rt.Runtime.stats;
-    leaks = bk.Mem_backend.bk_leak_report ();
+    leaks = Runtime.leak_report rt;
     dev_peak_bytes = Memspace.peak_bytes dev.Device.mem;
     trace;
     profile =

@@ -57,8 +57,6 @@ type config = {
   mode : mode;
   cost : Cost_model.t;
   trace : bool;  (** record a {!Trace.t} of transfers/kernels/stalls *)
-  inspector_fraction : float;
-      (** fraction of kernel work the sequential inspector replays *)
   fuel : int;  (** dynamic instruction budget; guards infinite loops *)
   profile : bool;  (** collect per-function instruction counts *)
   engine : engine;
@@ -84,11 +82,15 @@ type config = {
           exact sequential closure path. *)
   backend : Mem_backend.kind;
       (** Memory backend, {!Split} mode only. [Explicit] (the default)
-          is the CGCM-managed split-memory explicit-copy model.
-          [Paged] is a single shared address space with touch-driven
-          page-granular migration (managed memory): the [cgcm.*]
-          intrinsics become no-ops and all communication cost comes
-          from page faults priced by
+          is the CGCM-managed split-memory explicit-copy model: the
+          interpreter calls {!Runtime} for allocation tracking, the
+          [cgcm.*] intrinsics and the launch epoch, and kernels run
+          against device memory. [Paged] is a single shared address
+          space with touch-driven page-granular migration (managed
+          memory, {!Paged}): the interpreter makes none of those
+          run-time calls ([cgcm.map]/[map_array] return their pointer,
+          the other intrinsics do nothing), and all communication cost
+          comes from page faults priced by
           {!Cost_model.t.page_bytes}/[page_fault_cycles]. Outputs must
           be bit-identical across backends; only the timeline and
           transfer accounting differ. Not to be confused with the

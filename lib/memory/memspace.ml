@@ -328,6 +328,17 @@ let acquire_handle t addr len what : handle =
   check_span t b addr len what;
   b
 
+(* A per-site handle cache: the cached handle when it still covers the
+   access, else a freshly acquired one, which replaces it. *)
+let[@inline] cached_handle (cache : handle ref) t addr len what =
+  let h = !cache in
+  if handle_valid h t addr len then h
+  else begin
+    let h = acquire_handle t addr len what in
+    cache := h;
+    h
+  end
+
 (* Unchecked accessors: the caller has validated [handle_valid h t addr len]
    (or just acquired the handle) for the right width. *)
 let[@inline] h_load_u8 (h : handle) addr =

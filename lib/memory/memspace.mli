@@ -123,6 +123,11 @@ val acquire_handle : t -> int -> int -> string -> handle
 (** [acquire_handle t addr len what] resolves and span-checks once;
     faults exactly as the checked accessors would. *)
 
+val cached_handle : handle ref -> t -> int -> int -> string -> handle
+(** [cached_handle cache t addr len what] is [!cache] when it is valid for
+    the access, else [acquire_handle t addr len what], stored into
+    [cache] — the per-site handle cache of the closure engine. *)
+
 (** Unchecked accessors: the caller must have validated (or just
     acquired) the handle for the given address and width. Stores record
     dirty spans. *)

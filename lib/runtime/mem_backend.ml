@@ -1,30 +1,17 @@
-(* The memory-backend seam: the interpreter's communication-management
-   surface, carved out of the runtime/device/memspace tangle so the
-   simulator can run the same program under different hardware memory
-   models and compare them.
+(* The memory backends the interpreter simulates in Split mode:
 
-   Two instances:
+   - [Explicit] — the paper's split-memory explicit-copy model: the CGCM
+     run-time ({!Runtime}) tracks allocation units, map/unmap/release
+     move data over the bus, and the device owns a separate memory.
 
-   - [Explicit_backend] — today's split-memory explicit-copy model: the
-     CGCM run-time tracks allocation units, map/unmap/release move data
-     over the bus, and the device owns a separate memory space. This is
-     the paper's world.
-
-   - [Paged_backend]    — a single shared address space with
-     touch-driven page-granular migration ({!Paged}): map/unmap/release
-     are no-ops (communication is managed by the hardware, not the
-     compiler) and every cost comes from page faults charged at the
+   - [Paged] — a single shared address space with touch-driven
+     page-granular migration ({!Paged}): the hardware manages
+     communication, and every cost comes from page faults charged at the
      interpreter's load/store hooks.
 
-   The signature covers the cold management surface: allocation
-   tracking, the cgcm.* intrinsics, epoch advance, and leak reporting.
-   The hot per-access paths (memory-space selection and the paged touch
-   hook) stay specialised inside the interpreter's decoder, keyed off
-   the same backend choice at decode time — the signature documents
-   them, the decoder implements them. Fault injection is shared: both
-   backends drive the same simulated device, so a fault plan's
-   launch/transfer failures fire identically; only the transfer class
-   differs (explicit DMAs vs page migrations). *)
+   The interpreter decides per site which one applies (Interp.explicit);
+   this module only names them for the CLI, the serve mode suffix and
+   the ledger. *)
 
 type kind = Explicit | Paged
 
@@ -36,155 +23,3 @@ let of_string = function
   | s -> Error (Printf.sprintf "unknown memory backend %S (want explicit|paged)" s)
 
 let all = [ ("explicit", Explicit); ("paged", Paged) ]
-
-(* Every timing operation takes the interpreter's clock and returns its
-   new value; instances that call into the run-time thread it through
-   [Runtime.now]. *)
-module type S = sig
-  type t
-
-  val kind : kind
-
-  (* -- allocation tracking (the host allocator's wrappers) -- *)
-  val register_heap : t -> base:int -> size:int -> unit
-  val unregister_heap : t -> now:float -> base:int -> float
-  val declare_alloca : t -> now:float -> base:int -> size:int -> float
-  val expire_alloca : t -> base:int -> unit
-
-  (* -- communication management (the cgcm.* intrinsics) -- *)
-  val map : t -> now:float -> int -> int * float
-  val unmap : t -> now:float -> int -> float
-  val release : t -> now:float -> int -> float
-  val map_array : t -> now:float -> int -> int * float
-  val unmap_array : t -> now:float -> int -> float
-  val release_array : t -> now:float -> int -> float
-  val bump_epoch : t -> unit
-
-  (* -- residency / leak reporting -- *)
-  val leak_report : t -> Runtime.leak_report
-end
-
-module Explicit_backend : S with type t = Runtime.t = struct
-  type t = Runtime.t
-
-  let kind = Explicit
-
-  let register_heap rt ~base ~size = Runtime.register_heap rt ~base ~size
-
-  let unregister_heap rt ~now ~base =
-    rt.Runtime.now <- now;
-    Runtime.unregister_heap rt ~base;
-    rt.Runtime.now
-
-  let declare_alloca rt ~now ~base ~size =
-    rt.Runtime.now <- now;
-    Runtime.declare_alloca rt ~base ~size;
-    rt.Runtime.now
-
-  let expire_alloca rt ~base = Runtime.expire_alloca rt ~base
-
-  let map rt ~now p =
-    rt.Runtime.now <- now;
-    let d = Runtime.map rt p in
-    (d, rt.Runtime.now)
-
-  let unmap rt ~now p =
-    rt.Runtime.now <- now;
-    Runtime.unmap rt p;
-    rt.Runtime.now
-
-  let release rt ~now p =
-    rt.Runtime.now <- now;
-    Runtime.release rt p;
-    rt.Runtime.now
-
-  let map_array rt ~now p =
-    rt.Runtime.now <- now;
-    let d = Runtime.map_array rt p in
-    (d, rt.Runtime.now)
-
-  let unmap_array rt ~now p =
-    rt.Runtime.now <- now;
-    Runtime.unmap_array rt p;
-    rt.Runtime.now
-
-  let release_array rt ~now p =
-    rt.Runtime.now <- now;
-    Runtime.release_array rt p;
-    rt.Runtime.now
-
-  let bump_epoch = Runtime.bump_epoch
-  let leak_report = Runtime.leak_report
-end
-
-(* Under paging the hardware manages communication: pointers are valid
-   on both sides, so map is the identity and the rest of the management
-   surface does nothing — the cost CGCM's compiler-inserted calls would
-   have paid shows up as page faults at the access hooks instead.
-   Nothing is ever device-resident in the run-time's sense, so the leak
-   report is trivially clean. *)
-module Paged_backend : S with type t = Paged.t = struct
-  type t = Paged.t
-
-  let kind = Paged
-  let register_heap _ ~base:_ ~size:_ = ()
-  let unregister_heap _ ~now ~base:_ = now
-  let declare_alloca _ ~now ~base:_ ~size:_ = now
-  let expire_alloca _ ~base:_ = ()
-  let map _ ~now p = (p, now)
-  let unmap _ ~now _ = now
-  let release _ ~now _ = now
-  let map_array _ ~now p = (p, now)
-  let unmap_array _ ~now _ = now
-  let release_array _ ~now _ = now
-  let bump_epoch _ = ()
-
-  let leak_report _ =
-    {
-      Runtime.resident_nonglobal = 0;
-      resident_global = 0;
-      refcount_sum = 0;
-      leaked_dev_blocks = 0;
-      leaked_dev_bytes = 0;
-    }
-end
-
-(* First-class plumbing for the interpreter: one closure record, built
-   from whichever instance the run selected, so the hot loop carries a
-   single immutable value instead of a functor application. *)
-type ops = {
-  bk_kind : kind;
-  bk_register_heap : base:int -> size:int -> unit;
-  bk_unregister_heap : now:float -> base:int -> float;
-  bk_declare_alloca : now:float -> base:int -> size:int -> float;
-  bk_expire_alloca : base:int -> unit;
-  bk_map : now:float -> int -> int * float;
-  bk_unmap : now:float -> int -> float;
-  bk_release : now:float -> int -> float;
-  bk_map_array : now:float -> int -> int * float;
-  bk_unmap_array : now:float -> int -> float;
-  bk_release_array : now:float -> int -> float;
-  bk_bump_epoch : unit -> unit;
-  bk_leak_report : unit -> Runtime.leak_report;
-}
-
-let ops_of (type a) (module B : S with type t = a) (t : a) : ops =
-  {
-    bk_kind = B.kind;
-    bk_register_heap = (fun ~base ~size -> B.register_heap t ~base ~size);
-    bk_unregister_heap = (fun ~now ~base -> B.unregister_heap t ~now ~base);
-    bk_declare_alloca =
-      (fun ~now ~base ~size -> B.declare_alloca t ~now ~base ~size);
-    bk_expire_alloca = (fun ~base -> B.expire_alloca t ~base);
-    bk_map = (fun ~now p -> B.map t ~now p);
-    bk_unmap = (fun ~now p -> B.unmap t ~now p);
-    bk_release = (fun ~now p -> B.release t ~now p);
-    bk_map_array = (fun ~now p -> B.map_array t ~now p);
-    bk_unmap_array = (fun ~now p -> B.unmap_array t ~now p);
-    bk_release_array = (fun ~now p -> B.release_array t ~now p);
-    bk_bump_epoch = (fun () -> B.bump_epoch t);
-    bk_leak_report = (fun () -> B.leak_report t);
-  }
-
-let explicit rt = ops_of (module Explicit_backend) rt
-let paged pg = ops_of (module Paged_backend) pg

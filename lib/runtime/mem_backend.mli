@@ -1,20 +1,12 @@
-(** The memory-backend seam: the communication-management surface the
-    interpreter programs against, with one instance per hardware memory
-    model.
+(** The memory backends the interpreter simulates in Split mode.
 
-    {!Explicit_backend} is the paper's split-memory world — the CGCM
-    run-time ({!Runtime}) tracks allocation units and map/unmap/release
-    move data over the bus. {!Paged_backend} is a single shared address
-    space with touch-driven page-granular migration ({!Paged}) — the
-    intrinsics are no-ops and all cost comes from page faults charged at
-    the interpreter's access hooks.
-
-    The signature covers the cold management surface (allocation
-    tracking, the cgcm.* intrinsics, epoch advance, leak reporting);
-    the hot per-access paths are specialised in the interpreter's
-    decoder, keyed off the same backend choice. Fault injection is
-    shared: both backends drive the same simulated device, so fault
-    plans apply identically. *)
+    [Explicit] is the paper's split-memory world: the CGCM run-time
+    ({!Runtime}) tracks allocation units and map/unmap/release move data
+    over the bus. [Paged] is a single shared address space with
+    touch-driven page-granular migration ({!Paged}): the [cgcm.*]
+    intrinsics do nothing and all cost comes from page faults charged at
+    the interpreter's access hooks. The interpreter makes the choice at
+    each site; this module only names the backends. *)
 
 type kind = Explicit | Paged
 
@@ -23,60 +15,3 @@ val of_string : string -> (kind, string) result
 
 val all : (string * kind) list
 (** Name/value pairs for CLI enum converters. *)
-
-(** Operations every memory backend provides. Timed operations take the
-    interpreter's clock and return its new value. *)
-module type S = sig
-  type t
-
-  val kind : kind
-
-  (** {2 Allocation tracking} *)
-
-  val register_heap : t -> base:int -> size:int -> unit
-  val unregister_heap : t -> now:float -> base:int -> float
-  val declare_alloca : t -> now:float -> base:int -> size:int -> float
-  val expire_alloca : t -> base:int -> unit
-
-  (** {2 Communication management — the cgcm.* intrinsics} *)
-
-  val map : t -> now:float -> int -> int * float
-  (** Returns the pointer the kernel should use (a device copy under the
-      explicit model, the same pointer under paging) and the new clock. *)
-
-  val unmap : t -> now:float -> int -> float
-  val release : t -> now:float -> int -> float
-  val map_array : t -> now:float -> int -> int * float
-  val unmap_array : t -> now:float -> int -> float
-  val release_array : t -> now:float -> int -> float
-  val bump_epoch : t -> unit
-
-  (** {2 Residency / leak reporting} *)
-
-  val leak_report : t -> Runtime.leak_report
-end
-
-module Explicit_backend : S with type t = Runtime.t
-module Paged_backend : S with type t = Paged.t
-
-(** The backend packed as one closure record so the interpreter carries
-    a single value regardless of instance. *)
-type ops = {
-  bk_kind : kind;
-  bk_register_heap : base:int -> size:int -> unit;
-  bk_unregister_heap : now:float -> base:int -> float;
-  bk_declare_alloca : now:float -> base:int -> size:int -> float;
-  bk_expire_alloca : base:int -> unit;
-  bk_map : now:float -> int -> int * float;
-  bk_unmap : now:float -> int -> float;
-  bk_release : now:float -> int -> float;
-  bk_map_array : now:float -> int -> int * float;
-  bk_unmap_array : now:float -> int -> float;
-  bk_release_array : now:float -> int -> float;
-  bk_bump_epoch : unit -> unit;
-  bk_leak_report : unit -> Runtime.leak_report;
-}
-
-val ops_of : (module S with type t = 'a) -> 'a -> ops
-val explicit : Runtime.t -> ops
-val paged : Paged.t -> ops

@@ -1,11 +1,9 @@
-(* Tests for the IR-level analyses: natural loops, liveness, alias /
+(* Tests for the IR-level analyses: natural loops, alias /
    underlying objects, interprocedural mod/ref, and the paper's use-based
    pointer type inference. *)
 
 module Ir = Cgcm_ir.Ir
-module Builder = Cgcm_ir.Builder
 module Loops = Cgcm_analysis.Loops
-module Liveness = Cgcm_analysis.Liveness
 module Alias = Cgcm_analysis.Alias
 module Modref = Cgcm_analysis.Modref
 module Typeinfer = Cgcm_analysis.Typeinfer
@@ -61,28 +59,6 @@ let test_no_loops () =
   let f = Ir.find_func_exn m "main" in
   let t = Loops.analyze f in
   check Alcotest.int "none" 0 (Array.length t.Loops.loops)
-
-(* ------------------------------------------------------------------ *)
-
-let test_liveness_diamond () =
-  let b = Builder.create ~name:"f" ~nargs:1 ~kind:Ir.Cpu in
-  let b1 = Builder.new_block b in
-  let b2 = Builder.new_block b in
-  let x = Builder.binop b Ir.Add (Ir.Reg 0) (Ir.imm 1) in
-  Builder.cbr b (Ir.Reg 0) b1 b2;
-  Builder.position_at b b1;
-  Builder.ret b (Some x);
-  Builder.position_at b b2;
-  Builder.ret b (Some (Ir.Reg 0));
-  let f = Builder.finish b in
-  let lv = Liveness.compute f in
-  let live0 = Liveness.live_out lv 0 in
-  check Alcotest.bool "x live out of entry" true
-    (Liveness.ISet.mem 1 live0);
-  check Alcotest.bool "x live into b1" true
-    (Liveness.ISet.mem 1 (Liveness.live_in lv 1));
-  check Alcotest.bool "x not live into b2" false
-    (Liveness.ISet.mem 1 (Liveness.live_in lv 2))
 
 (* ------------------------------------------------------------------ *)
 
@@ -295,7 +271,6 @@ let tests =
     Alcotest.test_case "natural loops" `Quick test_loop_detection;
     Alcotest.test_case "loop exits/entries" `Quick test_loop_exits_entries;
     Alcotest.test_case "no loops" `Quick test_no_loops;
-    Alcotest.test_case "liveness diamond" `Quick test_liveness_diamond;
     Alcotest.test_case "underlying objects" `Quick test_underlying_objects;
     Alcotest.test_case "escaping allocas" `Quick test_escaping_allocas;
     Alcotest.test_case "modref summaries" `Quick test_modref_summaries;
