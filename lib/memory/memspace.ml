@@ -13,7 +13,7 @@
    - *Block handles*: [block_of_addr] plus the per-access span check is
      the hot path of the interpreter. A caller that repeatedly touches
      the same unit can hold the resolved block and revalidate it with a
-     single range-and-liveness test ([handle_valid]) instead of paying
+     single range-and-liveness test on its fields instead of paying
      the tree lookup and the separate span check every time. Handles
      carry the id of their owning space, so a handle cached across a
      CPU/GPU context switch can never alias a block of the other space.
@@ -314,55 +314,11 @@ let null_handle =
     d_rest = [];
   }
 
-(* One combined test replacing block_of_addr + check_span: the handle is
-   live, belongs to [t], and [addr, addr+len) sits inside it. *)
-let[@inline] handle_valid (h : handle) (t : t) addr len =
-  h.space_id = t.id
-  && (not h.freed)
-  && addr >= h.base
-  && addr + len <= h.base + h.size
-
 (* Acquire a handle, paying the tree lookup and the span check once. *)
 let acquire_handle t addr len what : handle =
   let b = block_of_addr t addr in
   check_span t b addr len what;
   b
-
-(* A per-site handle cache: the cached handle when it still covers the
-   access, else a freshly acquired one, which replaces it. *)
-let[@inline] cached_handle (cache : handle ref) t addr len what =
-  let h = !cache in
-  if handle_valid h t addr len then h
-  else begin
-    let h = acquire_handle t addr len what in
-    cache := h;
-    h
-  end
-
-(* Unchecked accessors: the caller has validated [handle_valid h t addr len]
-   (or just acquired the handle) for the right width. *)
-let[@inline] h_load_u8 (h : handle) addr =
-  Char.code (Bytes.unsafe_get h.data (addr - h.base))
-
-let[@inline] h_store_u8 (h : handle) addr v =
-  Bytes.unsafe_set h.data (addr - h.base) (Char.unsafe_chr (v land 0xff));
-  note_dirty h (addr - h.base) 1
-
-let[@inline] h_load_i64 (h : handle) addr =
-  Bytes.get_int64_le h.data (addr - h.base)
-
-let[@inline] h_store_i64 (h : handle) addr v =
-  Bytes.set_int64_le h.data (addr - h.base) v;
-  note_dirty h (addr - h.base) 8
-
-let[@inline] h_load_f64 (h : handle) addr =
-  Int64.float_of_bits (Bytes.get_int64_le h.data (addr - h.base))
-
-let[@inline] h_store_f64 (h : handle) addr v =
-  Bytes.set_int64_le h.data (addr - h.base) (Int64.bits_of_float v);
-  note_dirty h (addr - h.base) 8
-
-let[@inline] handle_base (h : handle) = h.base
 
 (* ------------------------------------------------------------------ *)
 (* Deferred dirty logging: the parallel kernel engine                  *)
@@ -405,18 +361,6 @@ let[@inline] log_push l b off len =
   Array.unsafe_set l.l_blocks l.l_len b;
   Array.unsafe_set l.l_packed l.l_len ((off lsl 4) lor len);
   l.l_len <- l.l_len + 1
-
-let[@inline] h_store_u8_log l (h : handle) addr v =
-  Bytes.unsafe_set h.data (addr - h.base) (Char.unsafe_chr (v land 0xff));
-  log_push l h (addr - h.base) 1
-
-let[@inline] h_store_i64_log l (h : handle) addr v =
-  Bytes.set_int64_le h.data (addr - h.base) v;
-  log_push l h (addr - h.base) 8
-
-let[@inline] h_store_f64_log l (h : handle) addr v =
-  Bytes.set_int64_le h.data (addr - h.base) (Int64.bits_of_float v);
-  log_push l h (addr - h.base) 8
 
 let log_replay l =
   for i = 0 to l.l_len - 1 do

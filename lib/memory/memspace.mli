@@ -103,61 +103,45 @@ val load_string : t -> int -> string
 (** {2 Block handles}
 
     The fast path for code that repeatedly touches the same allocation
-    unit (the closure-compiled interpreter). A handle is the resolved
-    block; {!handle_valid} revalidates it with one combined
-    range-and-liveness test instead of the tree lookup plus span check,
-    and the [h_]-prefixed accessors read and write without further
-    checks. Handles carry their owning space's id, so a handle cached
-    across a CPU/GPU context switch never aliases the other space. *)
+    unit (the closure-compiled interpreter, which keeps a handle per
+    access site). A handle is the resolved block: the caller revalidates
+    it with one range-and-liveness test on its fields ([space_id],
+    [freed], [base], [size]) instead of the tree lookup plus span check,
+    reads and writes [data] directly, and reports each write through
+    {!note_dirty}. Handles carry their owning space's id, so a handle
+    cached across a CPU/GPU context switch never aliases the other
+    space. *)
 
 type handle = block
 
 val null_handle : handle
 (** A handle that never validates — the initial value of handle caches. *)
 
-val handle_valid : handle -> t -> int -> int -> bool
-(** [handle_valid h t addr len] is true when [h] is live, belongs to [t],
-    and [\[addr, addr+len)] lies inside it. *)
-
 val acquire_handle : t -> int -> int -> string -> handle
 (** [acquire_handle t addr len what] resolves and span-checks once;
     faults exactly as the checked accessors would. *)
 
-val cached_handle : handle ref -> t -> int -> int -> string -> handle
-(** [cached_handle cache t addr len what] is [!cache] when it is valid for
-    the access, else [acquire_handle t addr len what], stored into
-    [cache] — the per-site handle cache of the closure engine. *)
-
-(** Unchecked accessors: the caller must have validated (or just
-    acquired) the handle for the given address and width. Stores record
-    dirty spans. *)
-
-val h_load_u8 : handle -> int -> int
-val h_store_u8 : handle -> int -> int -> unit
-val h_load_i64 : handle -> int -> int64
-val h_store_i64 : handle -> int -> int64 -> unit
-val h_load_f64 : handle -> int -> float
-val h_store_f64 : handle -> int -> float -> unit
-val handle_base : handle -> int
+val note_dirty : handle -> int -> int -> unit
+(** [note_dirty h off len] records a direct write of [len] bytes at
+    offset [off] of [h] in its dirty spans, as the checked stores do. *)
 
 (** {2 Deferred dirty logging}
 
     The dirty-span accumulator is order-dependent mutable state, so
-    shards of a parallel kernel must not update it concurrently. The
-    [_log] store variants perform the [Bytes] write immediately but
-    append the span bookkeeping to a private per-shard log;
-    {!log_replay} at the join barrier feeds the entries through the
-    ordinary accumulator. Replaying shard logs in shard (= iteration)
-    order reproduces the sequential engine's span state exactly. *)
+    shards of a parallel kernel must not update it concurrently. A
+    shard writes [data] immediately but appends the span bookkeeping to
+    a private per-shard log with {!log_push}; {!log_replay} at the join
+    barrier feeds the entries through the ordinary accumulator.
+    Replaying shard logs in shard (= iteration) order reproduces the
+    sequential engine's span state exactly. *)
 
 type dirty_log
 
 val log_create : unit -> dirty_log
 val log_clear : dirty_log -> unit
 
-val h_store_u8_log : dirty_log -> handle -> int -> int -> unit
-val h_store_i64_log : dirty_log -> handle -> int -> int64 -> unit
-val h_store_f64_log : dirty_log -> handle -> int -> float -> unit
+val log_push : dirty_log -> handle -> int -> int -> unit
+(** [log_push l h off len]: the deferred {!note_dirty}. *)
 
 val log_replay : dirty_log -> unit
 (** Feed every logged store through the dirty-span accumulator, in log

@@ -50,8 +50,8 @@ let backend_differential exec () =
     Test_fastpath.small_programs
 
 (* Both engines stay correct under paging. Page *traffic* is engine-
-   relative by design — the closure engine's scalar promotion and
-   expression folding elide loads the tree-walker performs, so the two
+   relative by design — the closure engine's scalar promotion elides
+   loads and stores the tree-walker performs, so the two
    legitimately fault different page counts; what must agree is the
    program's observable behavior, and each engine's own accounting must
    stay internally consistent (page-granular bytes). *)
