@@ -222,8 +222,6 @@ and pp_block_i ind ppf stmts =
   List.iter (fun s -> Fmt.pf ppf "%a@." (pp_stmt_i (ind + 1)) s) stmts;
   Fmt.pf ppf "%s}" (String.make (ind * 2) ' ')
 
-let pp_stmt ppf s = pp_stmt_i 0 ppf s
-
 let pp_block ppf stmts = pp_block_i 0 ppf stmts
 
 let pp_init_item ppf = function

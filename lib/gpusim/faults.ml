@@ -116,17 +116,14 @@ let to_string spec =
 
 type clause_state = { clause : clause; mutable count : int }
 
-type t = { spec : spec; states : clause_state list; streams : Rng.t array }
+type t = { states : clause_state list; streams : Rng.t array }
 
 let make spec =
   {
-    spec;
     states = List.map (fun c -> { clause = c; count = 0 }) spec.clauses;
     (* one independent stream per operation, derived from the seed *)
     streams = Array.init 4 (fun i -> Rng.stream ~seed:spec.seed i);
   }
-
-let spec_of t = t.spec
 
 (* Should the next call of [op] fail? Advances every matching clause, so
    a plan instance must be consulted exactly once per driver call. *)

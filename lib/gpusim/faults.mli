@@ -36,7 +36,6 @@ type t
     PRNG streams). *)
 
 val make : spec -> t
-val spec_of : t -> spec
 
 val fires : t -> op -> bool
 (** Should the next call of [op] fail? Advances the matching clauses'

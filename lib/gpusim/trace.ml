@@ -21,12 +21,6 @@ let record t kind ~start ~finish ~label ~bytes =
 
 let events t = List.rev t.events
 
-let kind_to_string = function
-  | Htod -> "HtoD"
-  | Dtoh -> "DtoH"
-  | Kernel -> "Kernel"
-  | Sync -> "Sync"
-
 (* ASCII schedule with three lanes, in the style of Figure 2. *)
 let render ?(width = 72) t =
   let evs = events t in

@@ -29,8 +29,6 @@ val events : t -> event list
 
 val count : t -> kind -> int
 
-val kind_to_string : kind -> string
-
 val render : ?width:int -> t -> string
 (** Three-lane ASCII schedule in the style of Figure 2: CPU stalls [s],
     bus transfers [> <], kernels [K]. *)

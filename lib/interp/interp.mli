@@ -37,21 +37,24 @@ type mode = Split | Unified | Inspector_executor
 
 (** Execution engines:
     - {!Closures} — the default: each function is pre-decoded once per
-      run into arrays of closures (threaded-code style) with operand
-      shapes, binop/unop dispatch, and callee lookups resolved at decode
-      time; registers whose type their def fixes live in unboxed int64
-      and float slot files; loads and stores cache a validated block
-      handle per site; a kernel launch runs all its threads in one
-      reused frame. A function that is not in SSA form (a register
-      assigned twice, or used where its def does not dominate: IR the
-      verifier rejects) raises [Exec_error] at decode.
+      prepared program ({!prepare}) into arrays of closures
+      (threaded-code style) with operand shapes, binop/unop dispatch,
+      and callees and kernels resolved at decode time; registers whose
+      type their def fixes live in unboxed int64 and float slot files;
+      loads and stores cache a validated block handle per site, in the
+      run's own site arrays, so decoded code is shared by every run; a
+      kernel launch runs all its threads in one reused frame. A function
+      that is not in SSA form (a register assigned twice, or used where
+      its def does not dominate: IR the verifier rejects) raises
+      [Exec_error] when it is first called or launched.
     - {!Tree_walk} — the original AST interpreter, kept for differential
       testing: both engines must produce bit-identical outputs, stats,
       and traces on every program.
     - {!Parallel} — the closure engine plus a persistent domain pool
       (see {!Cgcm_support.Pool}): each eligible kernel launch statically
       chunks its DOALL trip count across [config.jobs] domains, each
-      with per-domain closure instantiations, and a join barrier merges
+      running the program's shared code on a machine with its own site
+      caches, and a join barrier merges
       shard state in iteration order — outputs, stats, traces and
       simulated timelines stay bit-identical to {!Closures}. Launches
       below the {!Cost_model.t.par_min_trip} threshold, kernels the
@@ -134,16 +137,39 @@ type result = {
           per direction); present iff the paged backend ran *)
 }
 
-val run : ?config:config -> Ir.modul -> result
+type program
+(** A module decoded for one variant of {!config}: its [mode],
+    [backend], [sanitize] and [engine]. Decoded code depends on these
+    alone; every other field (fuel, faults, cost and device memory,
+    trace, profile, dirty spans, paranoid, jobs) is a run-time input.
+    A program is never mutated once {!prepare} returns, so any number
+    of runs, on any number of domains, may share it. *)
+
+val prepare : config -> Ir.modul -> program
+(** Decode every function of the module for [config]'s variant (none
+    under {!Tree_walk}) and compute the per-kernel facts: shardability
+    under {!Parallel}, the sanitizer's read/write sets. A function the
+    closure engines refuse raises when it is first run, not here. The
+    module must not change while the program is in use. *)
+
+val run_program : ?config:config -> program -> result
 (** Load the module's globals (under the explicit backend, registering
     each with the run-time: the compiler's declareGlobal calls), execute
-    [main], and account timing per the configuration. *)
+    [main], and account timing per the configuration. Raises
+    [Invalid_argument] when [config]'s variant differs from the
+    program's. *)
+
+val run_program_to_fault : ?config:config -> program -> result * exn option
+(** {!run_program} without losing the machine on a fault: with
+    [Some e], the result holds the state at the point [e] left the
+    program — the output printed so far, the counters, the device
+    residency in [leaks] — and [exit_code] is 0. If reading the faulted
+    machine raises too, [e] is re-raised instead. [run_program] raises
+    [e] without building a result. *)
+
+val run : ?config:config -> Ir.modul -> result
+(** [run_program (prepare config m)]. *)
 
 val run_to_fault : ?config:config -> Ir.modul -> result * exn option
-(** {!run} without losing the machine on a fault: with [Some e], the
-    result holds the state at the point [e] left the program — the
-    output printed so far, the counters, the device residency in
-    [leaks] — and [exit_code] is 0. If reading the faulted machine
-    raises too, [e] is re-raised instead. [run] raises [e] without
-    building a result. *)
+(** [run_program_to_fault (prepare config m)]. *)
 

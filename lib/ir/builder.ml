@@ -29,8 +29,6 @@ let new_block t =
 
 let position_at t b = t.cur <- b
 
-let current_block t = t.cur
-
 let insert t i = t.rev.(t.cur) <- i :: t.rev.(t.cur)
 
 let binop t op a b =

@@ -12,7 +12,6 @@ val func : t -> Ir.func
 val fresh : t -> int
 val new_block : t -> int
 val position_at : t -> int -> unit
-val current_block : t -> int
 val insert : t -> Ir.instr -> unit
 
 (** Convenience wrappers allocating the destination register: *)

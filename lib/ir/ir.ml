@@ -108,9 +108,6 @@ let add_func m f =
     invalid_arg ("Ir.add_func: duplicate function " ^ f.fname);
   m.funcs <- m.funcs @ [ f ]
 
-let replace_func m f =
-  m.funcs <- List.map (fun g -> if g.fname = f.fname then f else g) m.funcs
-
 let fresh_reg f =
   let r = f.nregs in
   f.nregs <- r + 1;
@@ -174,15 +171,6 @@ let fold_instrs f acc func =
   let acc = ref acc in
   iter_instrs (fun bi i -> acc := f !acc bi i) func;
   !acc
-
-(* Kernels launched (transitively reachable launches) by a function body. *)
-let launched_kernels func =
-  fold_instrs
-    (fun acc _ i ->
-      match i with
-      | Launch { kernel; _ } -> if List.mem kernel acc then acc else kernel :: acc
-      | _ -> acc)
-    [] func
 
 (* Globals referenced anywhere in a function. *)
 let globals_used func =

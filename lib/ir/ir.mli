@@ -105,8 +105,6 @@ val find_global : modul -> string -> global option
 val add_func : modul -> func -> unit
 (** Raises [Invalid_argument] on duplicate names. *)
 
-val replace_func : modul -> func -> unit
-
 val fresh_reg : func -> int
 
 val add_block : func -> block -> int
@@ -127,7 +125,6 @@ val iter_instrs : (int -> instr -> unit) -> func -> unit
 
 val fold_instrs : ('a -> int -> instr -> 'a) -> 'a -> func -> 'a
 
-val launched_kernels : func -> string list
 val globals_used : func -> string list
 
 (** Names of the run-time intrinsics inserted by the compiler. *)

@@ -71,8 +71,6 @@ type t = {
   mutable pooled : int;
 }
 
-let word_size = 8
-
 (* Handles are validated by space id, so ids must stay unique when
    spaces are created on several domains at once. *)
 let next_space_id = Atomic.make 0
@@ -91,8 +89,6 @@ let create ~name ~range_lo ~range_hi =
     pool = Hashtbl.create 8;
     pooled = 0;
   }
-
-let in_range t addr = addr >= t.range_lo && addr < t.range_hi
 
 let round_up n align = (n + align - 1) / align * align
 

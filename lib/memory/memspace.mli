@@ -42,14 +42,9 @@ type t = {
   mutable pooled : int;
 }
 
-val word_size : int
-(** Size of an IR word (8 bytes). *)
-
 val create : name:string -> range_lo:int -> range_hi:int -> t
 (** [create ~name ~range_lo ~range_hi] is an empty space whose unit
     addresses fall in [\[range_lo, range_hi)]. *)
-
-val in_range : t -> int -> bool
 
 val alloc : ?tag:string -> t -> int -> int
 (** [alloc t size] creates a zero-initialised allocation unit and returns

@@ -244,5 +244,4 @@ let fault_cost t = t.fault_cost
 let page_bytes t = t.page_bytes
 let last_host_fault_pages t = t.last_host_fault_pages
 let pending t = (t.pending_cycles, t.pending_faults)
-let total_faults t = t.stats.faults_to_dev + t.stats.faults_to_host
 let migrated_bytes t = t.stats.bytes_to_dev + t.stats.bytes_to_host

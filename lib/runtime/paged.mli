@@ -96,5 +96,4 @@ val fault_cost : t -> float
 (** Full migration cost of one page, either direction. *)
 
 val page_bytes : t -> int
-val total_faults : t -> int
 val migrated_bytes : t -> int

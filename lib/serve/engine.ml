@@ -25,7 +25,9 @@
      the shared residency state is invariant-audited between requests.
 
    Compiled modules are cached across requests and tenants in a bounded
-   LRU keyed by a digest of (compile plan, source). *)
+   LRU keyed by a digest of (compile plan, source). A cache hit also
+   reuses the module's decoded code: the entry keeps one prepared
+   interpreter program per execution variant that has hit it. *)
 
 module Pipeline = Cgcm_core.Pipeline
 module Diagnostics = Cgcm_core.Diagnostics
@@ -164,9 +166,18 @@ let sum_recoveries (l : recovery list) : recovery option =
          }
          l)
 
+(* A cache entry: the compiled module and the programs prepared from it,
+   one per (execution, backend) that hit the entry. A miss prepares
+   none, so an entry never hit costs no decoded code. *)
+type entry = {
+  compiled : Pipeline.compiled;
+  mutable programs :
+    ((Pipeline.execution * Mem_backend.kind) * Interp.program) list;
+}
+
 type t = {
   cfg : config;
-  cache : (string, Pipeline.compiled) Cache.t;
+  cache : (string, entry) Cache.t;
   res : Residency.t;
   queue : (Wire.request * (Wire.reply -> unit)) Queue.t;
   tenants : (string, tenant_state) Hashtbl.t;
@@ -254,7 +265,8 @@ let compiled_of t ~mode execution source =
   let r =
     Cache.find_or_add t.cache
       (cache_key execution source)
-      (fun () -> Pipeline.compile_for execution source)
+      (fun () ->
+        { compiled = Pipeline.compile_for execution source; programs = [] })
   in
   (match r with
   | _, `Miss ->
@@ -412,10 +424,20 @@ type outcome =
   | O_deadline
   | O_failed of exn * int
 
+(* The entry's program for [config]'s variant, prepared on first use. *)
+let program_of entry variant (config : Interp.config) =
+  match List.assoc_opt variant entry.programs with
+  | Some p -> p
+  | None ->
+    let p = Interp.prepare config entry.compiled.Pipeline.modul in
+    entry.programs <- (variant, p) :: entry.programs;
+    p
+
 let execute t (req : Wire.request) ~mode =
   let execution, backend = parse_mode mode in
   let key = cache_key execution req.rq_source in
-  let compiled, hitmiss = compiled_of t ~mode execution req.rq_source in
+  let entry, hitmiss = compiled_of t ~mode execution req.rq_source in
+  let compiled = entry.compiled in
   let fuel =
     match req.rq_deadline with
     | Some d -> max 1 d
@@ -440,7 +462,12 @@ let execute t (req : Wire.request) ~mode =
           base_faults
     in
     let config = run_config t execution ~fuel ~faults ~backend in
-    match Interp.run ~config compiled.Pipeline.modul with
+    match
+      match hitmiss with
+      | `Miss -> Interp.run ~config compiled.Pipeline.modul
+      | `Hit ->
+        Interp.run_program ~config (program_of entry (execution, backend) config)
+    with
     | r -> O_ok (r, retries)
     | exception exn when is_fuel_exhausted exn -> O_deadline
     | exception exn when is_capacity_oom exn ->
@@ -656,11 +683,11 @@ let recover t (rp : Journal.replay) : recovery =
       match parse_mode w.jw_mode with
       | execution, _ -> (
         match compiled_of t ~mode:w.jw_mode execution w.jw_source with
-        | cm, _ ->
+        | entry, _ ->
           let key = cache_key execution w.jw_source in
           if key = w.jw_key then begin
             warm_after t ~tenant:w.jw_tenant ~key ~mode:w.jw_mode
-              ~source:w.jw_source cm;
+              ~source:w.jw_source entry.compiled;
             incr rewarmed
           end
           else incr skipped
