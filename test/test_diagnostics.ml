@@ -213,6 +213,177 @@ let test_unknown_exceptions_pass_through () =
   check Alcotest.bool "Not_found unclassified" true
     (Diagnostics.classify Not_found = None)
 
+(* ------------------------------------------------------------------ *)
+(* Every verifier, lexer and parser message, pinned with the input that
+   raises it. Each verifier case is textual IR (see [Cgcm_ir.Reader]);
+   the last few hold several faults at once, so the order in which the
+   verifier checks them is pinned too. Each source case records the
+   message with its line and column. *)
+
+(* The textual IR cannot spell two functions of one name. *)
+let dup_function = "<two functions named f>"
+
+let ir_of_case text =
+  if text = dup_function then begin
+    let m =
+      Cgcm_ir.Reader.parse "func f(0 args, 0 regs) {\nb0:\n  ret\n}\n"
+    in
+    m.Cgcm_ir.Ir.funcs <- m.Cgcm_ir.Ir.funcs @ m.Cgcm_ir.Ir.funcs;
+    m
+  end
+  else Cgcm_ir.Reader.parse text
+
+let verifier_pins =
+  [
+    ("func f(0 args, 0 regs) {\n}\n",
+     "f: no blocks");
+    ("func f(0 args, 0 regs) {\nb0:\n  br b3\n}\n",
+     "f: block b0 branches to nonexistent b3");
+    ("func f(0 args, 1 regs) {\nb0:\n  %r5 = add 1, 2\n  ret\n}\n",
+     "f: register %r5 out of range");
+    ("func f(0 args, 1 regs) {\nb0:\n  %r0 = add 1, 2\n  %r0 = add 3, 4\n  ret\n}\n",
+     "f: %r0 defined twice");
+    ("func f(0 args, 1 regs) {\nb0:\n  %r0 = add %r7, 1\n  ret\n}\n",
+     "f: use of out-of-range %r7 in instr");
+    ("func f(0 args, 1 regs) {\nb0:\n  ret %r9\n}\n",
+     "f: use of out-of-range %r9 in terminator");
+    ("func f(0 args, 2 regs) {\nb0:\n  %r0 = add %r1, 1\n  ret\n}\n",
+     "f: use of undefined %r1 in instr");
+    ("func f(0 args, 2 regs) {\nb0:\n  %r0 = add %r1, 1\n  %r1 = add 1, 2\n  ret\n}\n",
+     "f: %r1 used before its definition in b0");
+    ("func f(1 args, 2 regs) {\nb0:\n  cbr %r0, b1, b2\nb1:\n  %r1 = add %r0, 1\n  br b3\nb2:\n  br b3\nb3:\n  ret %r1\n}\n",
+     "f: def of %r1 (b1) does not dominate use in b3");
+    ("func f(0 args, 1 regs) {\nb0:\n  %r0 = load.i64 @nope\n  ret\n}\n",
+     "f: reference to unknown global @nope");
+    ("func g(0 args, 0 regs) {\nb0:\n  ret\n}\n\nfunc f(0 args, 0 regs) {\nb0:\n  launch g<1>()\n  ret\n}\n",
+     "f: launch of non-kernel g");
+    ("func f(0 args, 0 regs) {\nb0:\n  launch nok<1>()\n  ret\n}\n",
+     "f: launch of unknown kernel nok");
+    ("kernel k(1 args, 1 regs) {\nb0:\n  ret\n}\n\nfunc f(0 args, 0 regs) {\nb0:\n  call k(0)\n  ret\n}\n",
+     "f: direct call to kernel k");
+    ("kernel k(1 args, 1 regs) {\nb0:\n  ret\n}\n\nkernel k2(1 args, 1 regs) {\nb0:\n  launch k<1>(0)\n  ret\n}\n",
+     "k2: kernel launches a kernel");
+    ("global g : 8 bytes = zeroed\nglobal g : 8 bytes = zeroed\n",
+     "duplicate global g");
+    ("global g : 8 bytes = i64{1, 2}\n",
+     "global g: initialiser (16 bytes) larger than size (8)");
+    ("global p : 8 bytes = ptrs{@nope}\n",
+     "global p: initialiser references unknown global nope");
+    (dup_function,
+     "duplicate function f");
+    ("func f(0 args, 1 regs) {\nb0:\n  %r0 = add 1, 2\n  %r0 = add 3, 4\n  br b7\n}\n",
+     "f: block b0 branches to nonexistent b7");
+    ("func f(0 args, 2 regs) {\nb0:\n  ret\nb1:\n  %r0 = add %r1, 1\n  launch nok<1>()\n  ret\n}\n",
+     "OK");
+    ("func f(0 args, 1 regs) {\nb0:\n  launch nok<%r0>()\n  ret\n}\n",
+     "f: use of undefined %r0 in instr");
+    ("func f(0 args, 1 regs) {\nb0:\n  %r0 = add 1, 2\n  br b1\nb1:\n  %r0 = load.i64 @nope\n  ret %r3\n}\n",
+     "f: %r0 defined twice");
+    ("global p : 8 bytes = ptrs{@nope}\nglobal q : 16 bytes = i64{1, 2, 3}\n\nfunc f(0 args, 0 regs) {\n}\n",
+     "global p: initialiser references unknown global nope");
+    ("global g : 8 bytes = zeroed\n\nfunc f(0 args, 2 regs) {\nb0:\n  store.i64 @g, %r1\n  %r1 = load.i64 @h\n  ret\n}\n",
+     "f: %r1 used before its definition in b0");
+    ("kernel k(1 args, 1 regs) {\nb0:\n  ret\nb1:\n  launch k<1>(0)\n  ret\n}\n",
+     "k: kernel launches a kernel");
+    ("kernel k(1 args, 2 regs) {\nb0:\n  launch k<1>(%r1)\n  ret\n}\n",
+     "k: use of undefined %r1 in instr");
+  ]
+
+let frontend_pins =
+  [
+    ("int main() {\n  /* oops\n  return 0;\n}",
+     "lex 2:3 unterminated comment");
+    ("int main() { return 99999999999999999999; }",
+     "lex 1:21 bad integer literal 99999999999999999999");
+    ("global char s[] = \"abc",
+     "lex 1:19 unterminated string literal");
+    ("global char s[] = \"abc\\",
+     "lex 1:19 unterminated escape");
+    ("global char s[] = \"a\\qb\";",
+     "lex 1:19 unknown escape \\q");
+    ("global char s[] = \"ab\ncd\";",
+     "lex 1:19 newline in string literal");
+    ("int main() { $ }",
+     "lex 1:14 unexpected character '$'");
+    ("/* a\n   b */  int main() {\n\treturn @;\n}",
+     "lex 3:9 unexpected character '@'");
+    ("// c\nint main() { return 0 }",
+     "parse 2:23 expected ';', found '}'");
+    ("int main() { int = 1; return 0; }",
+     "parse 1:18 expected identifier, found '='");
+    ("int main() { struct S s; return 0; }",
+     "parse 1:23 struct 'S' is not defined (definition must precede use)");
+    ("int main( {",
+     "parse 1:11 expected type, found '{'");
+    ("int main() { int a[x]; return 0; }",
+     "parse 1:20 expected integer literal, found 'x'");
+    ("int main() { int a[0]; return 0; }",
+     "parse 1:21 array dimension must be positive");
+    ("int main() { return ); }",
+     "parse 1:21 expected expression, found ')'");
+    ("int main() { int a[2] = 1; return 0; }",
+     "parse 1:23 array declarations cannot have initialisers");
+    ("int main() { parallel while (1) {} return 0; }",
+     "parse 1:23 'parallel' must precede 'for'");
+    ("global int g = -x;",
+     "parse 1:17 bad initialiser item 'x'");
+    ("global int g = ;",
+     "parse 1:16 bad initialiser item ';'");
+    ("struct S { int a; };\nstruct S { int b; };",
+     "parse 2:10 struct 'S' redefined");
+    ("struct S { int a; float a; };",
+     "parse 1:26 duplicate field 'a' in struct S");
+    ("struct S { };",
+     "parse 1:14 struct 'S' has no fields");
+    ("int main() {",
+     "parse 1:13 expected expression, found '<eof>'");
+    ("int main() { return 1 +; }",
+     "parse 1:24 expected expression, found ';'");
+    ("int main() { launch k<1 >(); return 0; }",
+     "OK");
+    ("int main() { x = (int) ; return 0; }",
+     "parse 1:24 expected expression, found ';'");
+    ("global int g[2] = { 1, 2 ;",
+     "parse 1:26 expected '}', found ';'");
+    ("int f(int a, ) { return 0; }",
+     "parse 1:14 expected type, found ')'");
+    ("int main() { a.1 = 2; return 0; }",
+     "parse 1:15 expected ';', found '0.1'");
+    ("int main() { for (;;) return 0 }",
+     "parse 1:32 expected ';', found '}'");
+    ("int main() { if (1) return 0; else }",
+     "parse 1:36 expected expression, found '}'");
+    ("int main() { return sizeof(3); }",
+     "parse 1:28 expected type, found '3'");
+  ]
+
+let test_verifier_messages_pinned () =
+  List.iter
+    (fun (text, expect) ->
+      let got =
+        match Cgcm_ir.Verifier.verify_modul (ir_of_case text) with
+        | () -> "OK"
+        | exception Cgcm_ir.Verifier.Ill_formed msg -> msg
+      in
+      check Alcotest.string text expect got)
+    verifier_pins
+
+let test_frontend_messages_pinned () =
+  List.iter
+    (fun (src, expect) ->
+      let got =
+        match Cgcm_frontend.Parser.parse_string src with
+        | _ -> "OK"
+        | exception Cgcm_frontend.Lexer.Lex_error (msg, p) ->
+          Printf.sprintf "lex %d:%d %s" p.Cgcm_frontend.Lexer.line
+            p.Cgcm_frontend.Lexer.col msg
+        | exception Cgcm_frontend.Parser.Parse_error (msg, p) ->
+          Printf.sprintf "parse %d:%d %s" p.Cgcm_frontend.Lexer.line
+            p.Cgcm_frontend.Lexer.col msg
+      in
+      check Alcotest.string src expect got)
+    frontend_pins
+
 let tests =
   [
     Alcotest.test_case "exit codes 2-13" `Quick test_exit_codes;
@@ -226,4 +397,8 @@ let tests =
     Alcotest.test_case "serve lifecycle text" `Quick test_serve_lifecycle_text;
     Alcotest.test_case "unknown exceptions pass through" `Quick
       test_unknown_exceptions_pass_through;
+    Alcotest.test_case "verifier messages pinned" `Quick
+      test_verifier_messages_pinned;
+    Alcotest.test_case "lexer and parser messages pinned" `Quick
+      test_frontend_messages_pinned;
   ]
