@@ -7,6 +7,7 @@ module Dominance = Cgcm_ir.Dominance
 type loop = {
   header : int;
   body : int list;  (* blocks in the loop, including the header *)
+  members : bool array;  (* [body] as a set over the analysed blocks *)
   mutable parent : int option;  (* index into the loop array *)
   depth : int;  (* filled by [analyze]; 1 = outermost *)
 }
@@ -14,21 +15,19 @@ type loop = {
 type t = { loops : loop array; block_loop : int option array }
 (* [block_loop.(b)] = innermost loop containing block b *)
 
-let in_loop l b = List.mem b l.body
+(* Blocks added after the analysis are in no loop. *)
+let in_loop l b = b >= 0 && b < Array.length l.members && l.members.(b)
 
-(* Collect the natural loop of back edge (src -> header). *)
-let natural_loop f header src =
-  let preds = Cfg.preds f in
-  let seen = Hashtbl.create 8 in
-  Hashtbl.replace seen header ();
+(* Mark the natural loop of back edge (src -> header) in [seen]. *)
+let natural_loop preds seen header src =
+  seen.(header) <- true;
   let rec go b =
-    if not (Hashtbl.mem seen b) then begin
-      Hashtbl.replace seen b ();
+    if not seen.(b) then begin
+      seen.(b) <- true;
       List.iter go preds.(b)
     end
   in
-  go src;
-  Hashtbl.fold (fun b () acc -> b :: acc) seen []
+  go src
 
 let analyze (f : Ir.func) : t =
   let dom = Dominance.compute f in
@@ -45,23 +44,27 @@ let analyze (f : Ir.func) : t =
            end)
         (Cfg.succs f b)
   done;
+  let preds = Cfg.preds f in
   let raw =
     Hashtbl.fold
       (fun header srcs acc ->
-        let body =
-          List.concat_map (fun src -> natural_loop f header src) srcs
-          |> List.sort_uniq compare
-        in
-        (header, body) :: acc)
+        let members = Array.make n false in
+        List.iter (natural_loop preds members header) srcs;
+        let body = ref [] in
+        for b = n - 1 downto 0 do
+          if members.(b) then body := b :: !body
+        done;
+        (header, !body, members) :: acc)
       by_header []
-    |> List.sort (fun (_, b1) (_, b2) ->
+    |> List.sort (fun (_, b1, _) (_, b2, _) ->
            compare (List.length b2) (List.length b1))
     (* larger loops first: parents precede children *)
   in
   let loops =
     Array.of_list
       (List.map
-         (fun (header, body) -> { header; body; parent = None; depth = 0 })
+         (fun (header, body, members) ->
+           { header; body; members; parent = None; depth = 0 })
          raw)
   in
   (* parent links: smallest strictly-containing loop *)
@@ -70,8 +73,8 @@ let analyze (f : Ir.func) : t =
       let best = ref None in
       Array.iteri
         (fun j l' ->
-          if j <> i && List.mem l.header l'.body
-             && List.for_all (fun b -> List.mem b l'.body) l.body
+          if j <> i && in_loop l' l.header
+             && List.for_all (in_loop l') l.body
              && List.length l'.body > List.length l.body
           then
             match !best with

@@ -4,6 +4,9 @@
 type loop = {
   header : int;
   body : int list;  (** blocks in the loop, including the header *)
+  members : bool array;
+      (** [body] as a set, indexed by block; blocks added after the
+          analysis are outside it *)
   mutable parent : int option;  (** index of the innermost enclosing loop *)
   depth : int;  (** 1 = outermost *)
 }

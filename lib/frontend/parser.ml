@@ -5,24 +5,29 @@ open Ast
 exception Parse_error of string * Lexer.pos
 
 type st = {
-  toks : Lexer.lexed array;
+  toks : Lexer.tokens;
+  kinds : Token.t array;  (* [toks.kinds] *)
   mutable i : int;
   structs : (string, sdef) Hashtbl.t;  (* defined struct layouts *)
 }
 
 let error st fmt =
-  let pos = st.toks.(st.i).pos in
+  let pos = Lexer.pos_of st.toks st.i in
   Fmt.kstr (fun s -> raise (Parse_error (s, pos))) fmt
 
-let peek st = st.toks.(st.i).tok
+let peek st = st.kinds.(st.i)
 
 let peek2 st =
-  if st.i + 1 < Array.length st.toks then st.toks.(st.i + 1).tok else Token.EOF
+  if st.i + 1 < st.toks.Lexer.count then st.kinds.(st.i + 1) else Token.EOF
+
+(* Is the current token [tok]? [tok] must be a constant constructor, so
+   physical equality decides it without a polymorphic compare. *)
+let at st tok = st.kinds.(st.i) == tok
 
 let advance st = st.i <- st.i + 1
 
 let eat st tok =
-  if peek st = tok then advance st
+  if at st tok then advance st
   else error st "expected '%s', found '%s'" (Token.to_string tok)
          (Token.to_string (peek st))
 
@@ -53,7 +58,7 @@ let base_type st =
 (* base type followed by pointer stars *)
 let ptr_type st =
   let t = ref (base_type st) in
-  while peek st = Token.STAR do
+  while at st Token.STAR do
     advance st;
     t := Ptr !t
   done;
@@ -70,9 +75,9 @@ let dims st =
   (* A dimension of 0 means "infer from the initialiser" (globals only:
      'global char s[] = "..."'). *)
   let ds = ref [] in
-  while peek st = Token.LBRACKET do
+  while at st Token.LBRACKET do
     advance st;
-    if peek st = Token.RBRACKET then begin
+    if at st Token.RBRACKET then begin
       advance st;
       ds := 0 :: !ds
     end
@@ -92,7 +97,7 @@ let rec expr st = cond_expr st
 
 and cond_expr st =
   let c = or_expr st in
-  if peek st = Token.QUESTION then begin
+  if at st Token.QUESTION then begin
     advance st;
     let a = expr st in
     eat st Token.COLON;
@@ -101,85 +106,66 @@ and cond_expr st =
   end
   else c
 
-and or_expr st =
-  let a = ref (and_expr st) in
-  while peek st = Token.BARBAR do
+and or_expr st = or_rest st (and_expr st)
+
+and or_rest st a =
+  if at st Token.BARBAR then begin
     advance st;
-    a := Binary (Bor, !a, and_expr st)
-  done;
-  !a
+    or_rest st (Binary (Bor, a, and_expr st))
+  end
+  else a
 
-and and_expr st =
-  let a = ref (eq_expr st) in
-  while peek st = Token.AMPAMP do
+and and_expr st = and_rest st (eq_expr st)
+
+and and_rest st a =
+  if at st Token.AMPAMP then begin
     advance st;
-    a := Binary (Band, !a, eq_expr st)
-  done;
-  !a
+    and_rest st (Binary (Band, a, eq_expr st))
+  end
+  else a
 
-and eq_expr st =
-  let a = ref (rel_expr st) in
-  let rec go () =
-    match peek st with
-    | Token.EQEQ ->
-      advance st;
-      a := Binary (Beq, !a, rel_expr st);
-      go ()
-    | Token.NE ->
-      advance st;
-      a := Binary (Bne, !a, rel_expr st);
-      go ()
-    | _ -> ()
-  in
-  go ();
-  !a
+and eq_expr st = eq_rest st (rel_expr st)
 
-and rel_expr st =
-  let a = ref (shift_expr st) in
-  let rec go () =
-    match peek st with
-    | Token.LT -> advance st; a := Binary (Blt, !a, shift_expr st); go ()
-    | Token.LE -> advance st; a := Binary (Ble, !a, shift_expr st); go ()
-    | Token.GT -> advance st; a := Binary (Bgt, !a, shift_expr st); go ()
-    | Token.GE -> advance st; a := Binary (Bge, !a, shift_expr st); go ()
-    | _ -> ()
-  in
-  go ();
-  !a
+and eq_rest st a =
+  match peek st with
+  | Token.EQEQ -> advance st; eq_rest st (Binary (Beq, a, rel_expr st))
+  | Token.NE -> advance st; eq_rest st (Binary (Bne, a, rel_expr st))
+  | _ -> a
 
-and shift_expr st =
-  let a = ref (add_expr st) in
-  let rec go () =
-    match peek st with
-    | Token.SHL -> advance st; a := Binary (Bshl, !a, add_expr st); go ()
-    | Token.SHR -> advance st; a := Binary (Bshr, !a, add_expr st); go ()
-    | _ -> ()
-  in
-  go ();
-  !a
+and rel_expr st = rel_rest st (shift_expr st)
 
-and add_expr st =
-  let a = ref (mul_expr st) in
-  let rec go () =
-    match peek st with
-    | Token.PLUS -> advance st; a := Binary (Badd, !a, mul_expr st); go ()
-    | Token.MINUS -> advance st; a := Binary (Bsub, !a, mul_expr st); go ()
-    | _ -> ()
-  in
-  go ();
-  !a
+and rel_rest st a =
+  match peek st with
+  | Token.LT -> advance st; rel_rest st (Binary (Blt, a, shift_expr st))
+  | Token.LE -> advance st; rel_rest st (Binary (Ble, a, shift_expr st))
+  | Token.GT -> advance st; rel_rest st (Binary (Bgt, a, shift_expr st))
+  | Token.GE -> advance st; rel_rest st (Binary (Bge, a, shift_expr st))
+  | _ -> a
 
-and mul_expr st =
-  let a = ref (unary_expr st) in
-  let rec go () =
-    match peek st with
-    | Token.STAR -> advance st; a := Binary (Bmul, !a, unary_expr st); go ()
-    | Token.SLASH -> advance st; a := Binary (Bdiv, !a, unary_expr st); go ()
-    | Token.PERCENT -> advance st; a := Binary (Brem, !a, unary_expr st); go ()
-    | _ -> ()
-  in
-  go ();
-  !a
+and shift_expr st = shift_rest st (add_expr st)
+
+and shift_rest st a =
+  match peek st with
+  | Token.SHL -> advance st; shift_rest st (Binary (Bshl, a, add_expr st))
+  | Token.SHR -> advance st; shift_rest st (Binary (Bshr, a, add_expr st))
+  | _ -> a
+
+and add_expr st = add_rest st (mul_expr st)
+
+and add_rest st a =
+  match peek st with
+  | Token.PLUS -> advance st; add_rest st (Binary (Badd, a, mul_expr st))
+  | Token.MINUS -> advance st; add_rest st (Binary (Bsub, a, mul_expr st))
+  | _ -> a
+
+and mul_expr st = mul_rest st (unary_expr st)
+
+and mul_rest st a =
+  match peek st with
+  | Token.STAR -> advance st; mul_rest st (Binary (Bmul, a, unary_expr st))
+  | Token.SLASH -> advance st; mul_rest st (Binary (Bdiv, a, unary_expr st))
+  | Token.PERCENT -> advance st; mul_rest st (Binary (Brem, a, unary_expr st))
+  | _ -> a
 
 and unary_expr st =
   match peek st with
@@ -203,30 +189,24 @@ and unary_expr st =
     Cast (t, unary_expr st)
   | _ -> postfix_expr st
 
-and postfix_expr st =
-  let a = ref (primary_expr st) in
-  let rec go () =
-    match peek st with
-    | Token.LBRACKET ->
-      advance st;
-      let idx = expr st in
-      eat st Token.RBRACKET;
-      a := Index (!a, idx);
-      go ()
-    | Token.DOT ->
-      advance st;
-      let f = eat_ident st in
-      a := Field (!a, f);
-      go ()
-    | Token.ARROW ->
-      advance st;
-      let f = eat_ident st in
-      a := Arrow (!a, f);
-      go ()
-    | _ -> ()
-  in
-  go ();
-  !a
+and postfix_expr st = postfix_rest st (primary_expr st)
+
+and postfix_rest st a =
+  match peek st with
+  | Token.LBRACKET ->
+    advance st;
+    let idx = expr st in
+    eat st Token.RBRACKET;
+    postfix_rest st (Index (a, idx))
+  | Token.DOT ->
+    advance st;
+    let f = eat_ident st in
+    postfix_rest st (Field (a, f))
+  | Token.ARROW ->
+    advance st;
+    let f = eat_ident st in
+    postfix_rest st (Arrow (a, f))
+  | _ -> a
 
 and primary_expr st =
   match peek st with
@@ -244,7 +224,7 @@ and primary_expr st =
     Sizeof t
   | Token.IDENT x ->
     advance st;
-    if peek st = Token.LPAREN then begin
+    if at st Token.LPAREN then begin
       advance st;
       let args = call_args st in
       Call (x, args)
@@ -258,13 +238,13 @@ and primary_expr st =
   | t -> error st "expected expression, found '%s'" (Token.to_string t)
 
 and call_args st =
-  if peek st = Token.RPAREN then begin
+  if at st Token.RPAREN then begin
     advance st;
     []
   end
   else begin
     let args = ref [ expr st ] in
-    while peek st = Token.COMMA do
+    while at st Token.COMMA do
       advance st;
       args := expr st :: !args
     done;
@@ -328,7 +308,7 @@ and stmt st : stmt =
     eat st Token.RPAREN;
     let then_ = stmt_as_block st in
     let else_ =
-      if peek st = Token.KW_ELSE then begin
+      if at st Token.KW_ELSE then begin
         advance st;
         stmt_as_block st
       end
@@ -342,28 +322,28 @@ and stmt st : stmt =
     eat st Token.RPAREN;
     While (c, stmt_as_block st)
   | Token.KW_PARALLEL | Token.KW_FOR ->
-    let parallel = peek st = Token.KW_PARALLEL in
+    let parallel = at st Token.KW_PARALLEL in
     if parallel then begin
       advance st;
-      if peek st <> Token.KW_FOR then error st "'parallel' must precede 'for'"
+      if not (at st Token.KW_FOR) then error st "'parallel' must precede 'for'"
     end;
     eat st Token.KW_FOR;
     eat st Token.LPAREN;
     let init =
-      if peek st = Token.SEMI then None else Some (simple_stmt st)
+      if at st Token.SEMI then None else Some (simple_stmt st)
     in
     eat st Token.SEMI;
-    let cond = if peek st = Token.SEMI then None else Some (expr st) in
+    let cond = if at st Token.SEMI then None else Some (expr st) in
     eat st Token.SEMI;
     let update =
-      if peek st = Token.RPAREN then None else Some (simple_stmt st)
+      if at st Token.RPAREN then None else Some (simple_stmt st)
     in
     eat st Token.RPAREN;
     let body = stmt_as_block st in
     For { parallel; init; cond; update; body }
   | Token.KW_RETURN ->
     advance st;
-    if peek st = Token.SEMI then begin
+    if at st Token.SEMI then begin
       advance st;
       Return None
     end
@@ -393,12 +373,12 @@ and stmt st : stmt =
     s
 
 and stmt_as_block st =
-  if peek st = Token.LBRACE then block st else [ stmt st ]
+  if at st Token.LBRACE then block st else [ stmt st ]
 
 and block st =
   eat st Token.LBRACE;
   let stmts = ref [] in
-  while peek st <> Token.RBRACE do
+  while not (at st Token.RBRACE) do
     stmts := stmt st :: !stmts
   done;
   advance st;
@@ -428,7 +408,7 @@ let global_decl st ~readonly =
   let ds = dims st in
   let t = if ds = [] then t else Arr (t, ds) in
   let init =
-    if peek st = Token.ASSIGN then begin
+    if at st Token.ASSIGN then begin
       advance st;
       match peek st with
       | Token.STRING_LIT s ->
@@ -437,7 +417,7 @@ let global_decl st ~readonly =
       | Token.LBRACE ->
         advance st;
         let items = ref [ init_item st ] in
-        while peek st = Token.COMMA do
+        while at st Token.COMMA do
           advance st;
           items := init_item st :: !items
         done;
@@ -452,7 +432,7 @@ let global_decl st ~readonly =
 
 let func_decl st ~kernel =
   let ret =
-    if peek st = Token.KW_VOID then begin
+    if at st Token.KW_VOID then begin
       advance st;
       None
     end
@@ -461,14 +441,14 @@ let func_decl st ~kernel =
   let name = eat_ident st in
   eat st Token.LPAREN;
   let params = ref [] in
-  if peek st <> Token.RPAREN then begin
+  if not (at st Token.RPAREN) then begin
     let param () =
       let t = ptr_type st in
       let x = eat_ident st in
       (t, x)
     in
     params := [ param () ];
-    while peek st = Token.COMMA do
+    while at st Token.COMMA do
       advance st;
       params := param () :: !params
     done
@@ -490,7 +470,7 @@ let struct_decl st =
   if Hashtbl.mem st.structs name then error st "struct '%s' redefined" name;
   eat st Token.LBRACE;
   let fields = ref [] in
-  while peek st <> Token.RBRACE do
+  while not (at st Token.RBRACE) do
     let t = ptr_type st in
     let fname = eat_ident st in
     if List.exists (fun (_, n) -> n = fname) !fields then
@@ -508,7 +488,7 @@ let struct_decl st =
 
 let program st =
   let decls = ref [] in
-  while peek st <> Token.EOF do
+  while not (at st Token.EOF) do
     match peek st with
     | Token.KW_STRUCT ->
       decls := Struct_decl (struct_decl st) :: !decls
@@ -526,4 +506,4 @@ let program st =
 
 let parse_string src =
   let toks = Lexer.tokenize src in
-  program { toks; i = 0; structs = Hashtbl.create 8 }
+  program { toks; kinds = toks.Lexer.kinds; i = 0; structs = Hashtbl.create 8 }

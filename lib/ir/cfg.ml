@@ -26,7 +26,17 @@ let reverse_postorder (f : Ir.func) =
   !order
 
 let reachable (f : Ir.func) =
-  let n = Array.length f.blocks in
-  let r = Array.make n false in
-  List.iter (fun b -> r.(b) <- true) (reverse_postorder f);
+  let r = Array.make (Array.length f.blocks) false in
+  let rec go b =
+    if not r.(b) then begin
+      r.(b) <- true;
+      match f.blocks.(b).term with
+      | Ir.Br s -> go s
+      | Ir.Cbr (_, s1, s2) ->
+        go s1;
+        go s2
+      | Ir.Ret _ -> ()
+    end
+  in
+  go 0;
   r

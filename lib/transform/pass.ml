@@ -173,6 +173,28 @@ let runtime_call_count (m : Ir.modul) =
         acc f)
     0 m.Ir.funcs
 
+(* All three counts in one walk: what a pass execution reports. *)
+type counts = { instrs : int; launches : int; rtcalls : int }
+
+let count (m : Ir.modul) =
+  let instrs = ref 0 and launches = ref 0 and rtcalls = ref 0 in
+  List.iter
+    (fun (f : Ir.func) ->
+      Array.iter
+        (fun (b : Ir.block) ->
+          List.iter
+            (fun i ->
+              incr instrs;
+              match i with
+              | Ir.Launch _ -> incr launches
+              | Ir.Call (_, name, _) when Ir.Intrinsic.is_cgcm name ->
+                incr rtcalls
+              | _ -> ())
+            b.Ir.instrs)
+        f.Ir.blocks)
+    m.Ir.funcs;
+  { instrs = !instrs; launches = !launches; rtcalls = !rtcalls }
+
 (* ------------------------------------------------------------------ *)
 (* Instrumented execution *)
 
@@ -200,20 +222,24 @@ type hooks = {
 let default_hooks =
   { on_stat = ignore; after_pass = (fun _ _ -> ()); snapshot = false }
 
+(* Each pass execution counts the module once, after the pass: the
+   counts before it are the previous execution's after-counts, since
+   nothing else edits the module in between. *)
 let run_plan ?(hooks = default_hooks) ?(verify = Always) (mgr : Manager.t)
     (plan : plan) =
   let m = Manager.modul mgr in
+  let last = ref (count m) in
   let exec_atom p =
     let before =
       if hooks.snapshot then Some (Cgcm_ir.Printer.modul_to_string m)
       else None
     in
-    let ib = instr_count m in
-    let lb = launch_count m in
-    let rb = runtime_call_count m in
-    let t0 = Sys.time () in
+    let cb = !last in
+    (* A wall clock: CPU time would also charge this pass for work other
+       domains or threads of the process do meanwhile. *)
+    let t0 = Unix.gettimeofday () in
     let changed = p.step mgr in
-    let dt = (Sys.time () -. t0) *. 1000.0 in
+    let dt = (Unix.gettimeofday () -. t0) *. 1000.0 in
     (match verify with
     | Always -> Cgcm_ir.Verifier.verify_modul m
     | On_change -> if changed then Cgcm_ir.Verifier.verify_modul m
@@ -221,22 +247,24 @@ let run_plan ?(hooks = default_hooks) ?(verify = Always) (mgr : Manager.t)
     let ir_changed =
       Option.map (fun s -> s <> Cgcm_ir.Printer.modul_to_string m) before
     in
+    let ca = count m in
+    last := ca;
     hooks.on_stat
       {
         ps_pass = p.name;
         ps_wall_ms = dt;
         ps_changed = changed;
-        ps_instrs_before = ib;
-        ps_instrs_after = instr_count m;
-        ps_launches_before = lb;
-        ps_launches_after = launch_count m;
-        ps_rtcalls_before = rb;
-        ps_rtcalls_after = runtime_call_count m;
+        ps_instrs_before = cb.instrs;
+        ps_instrs_after = ca.instrs;
+        ps_launches_before = cb.launches;
+        ps_launches_after = ca.launches;
+        ps_rtcalls_before = cb.rtcalls;
+        ps_rtcalls_after = ca.rtcalls;
         ps_ir_changed = ir_changed;
       };
     hooks.after_pass p.name m;
     Log.debug (fun k ->
-        k "%s: %d -> %d instructions (%.1f ms)%s" p.name ib (instr_count m)
+        k "%s: %d -> %d instructions (%.1f ms)%s" p.name cb.instrs ca.instrs
           dt
           (if changed then "" else " [no change]"));
     changed

@@ -69,6 +69,8 @@ type verify_policy = Always | On_change | Final
 type pass_stat = {
   ps_pass : string;
   ps_wall_ms : float;
+      (** wall-clock time of the pass itself, without verification or
+          counting *)
   ps_changed : bool;
   ps_instrs_before : int;
   ps_instrs_after : int;
@@ -83,7 +85,9 @@ type pass_stat = {
 type hooks = {
   on_stat : pass_stat -> unit;
   after_pass : string -> Cgcm_ir.Ir.modul -> unit;
-      (** called after every pass execution (for [--dump-ir after:p]) *)
+      (** called after every pass execution (for [--dump-ir after:p]);
+          must not edit the module, whose counts carry over as the next
+          execution's before-counts *)
   snapshot : bool;
       (** print the module before/after each pass and diff the text *)
 }
@@ -92,7 +96,8 @@ val default_hooks : hooks
 
 val run_plan :
   ?hooks:hooks -> ?verify:verify_policy -> Manager.t -> plan -> unit
-(** Execute [plan] over the manager's module. *)
+(** Execute [plan] over the manager's module. The module is counted once
+    up front and once after each pass execution. *)
 
 val run_pipeline : plan -> Cgcm_ir.Ir.modul -> unit
 (** Convenience: run over a new manager with default hooks and the

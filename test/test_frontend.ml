@@ -15,7 +15,8 @@ let check = Alcotest.check
 (* Lexer                                                               *)
 
 let toks src =
-  Array.to_list (Lexer.tokenize src) |> List.map (fun l -> l.Lexer.tok)
+  let t = Lexer.tokenize src in
+  Array.to_list (Array.sub t.Lexer.kinds 0 t.Lexer.count)
 
 let test_lex_basic () =
   check Alcotest.int "count" 6
@@ -54,8 +55,8 @@ let test_lex_errors () =
 
 let test_lex_positions () =
   let l = Lexer.tokenize "a\n  b" in
-  check Alcotest.int "line of b" 2 l.(1).Lexer.pos.Lexer.line;
-  check Alcotest.int "col of b" 3 l.(1).Lexer.pos.Lexer.col
+  check Alcotest.int "line of b" 2 (Lexer.pos_of l 1).Lexer.line;
+  check Alcotest.int "col of b" 3 (Lexer.pos_of l 1).Lexer.col
 
 (* ------------------------------------------------------------------ *)
 (* Parser                                                              *)
