@@ -69,12 +69,24 @@ let unescaped_slots (f : Ir.func) =
   slots
 
 type t = {
-  func : Ir.func;
   defs : Ir.instr option array;
   slots : (int, bool) Hashtbl.t;  (* alloca reg -> unescaped? *)
+  stored : (int, Ir.value list) Hashtbl.t;
+      (* unescaped slot -> the values stored to it *)
 }
 
-let analyze (f : Ir.func) = { func = f; defs = def_map f; slots = unescaped_slots f }
+let analyze (f : Ir.func) =
+  let slots = unescaped_slots f in
+  let stored = Hashtbl.create 16 in
+  Ir.iter_instrs
+    (fun _ i ->
+      match i with
+      | Ir.Store (_, Ir.Reg s, v) when Hashtbl.find_opt slots s = Some true ->
+        Hashtbl.replace stored s
+          (v :: Option.value ~default:[] (Hashtbl.find_opt stored s))
+      | _ -> ())
+    f;
+  { defs = def_map f; slots; stored }
 
 (* Underlying object of an address value. For [a + b] the object comes
    from whichever side resolves; if both resolve (to different objects)
@@ -102,15 +114,8 @@ let underlying t (v : Ir.value) : obj =
         | Some (Ir.Load (_, _, Ir.Reg s))
           when Hashtbl.find_opt t.slots s = Some true -> (
           (* union over all values stored to this private slot *)
-          let objs = ref [] in
-          Ir.iter_instrs
-            (fun _ i ->
-              match i with
-              | Ir.Store (_, Ir.Reg s', v) when s' = s ->
-                objs := go (fuel - 1) v :: !objs
-              | _ -> ())
-            t.func;
-          match List.sort_uniq compare !objs with
+          let stored = Option.value ~default:[] (Hashtbl.find_opt t.stored s) in
+          match List.sort_uniq compare (List.map (go (fuel - 1)) stored) with
           | [ o ] -> o
           | _ -> Obj_unknown)
         | _ -> Obj_unknown)

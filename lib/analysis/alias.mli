@@ -24,9 +24,11 @@ val unescaped_slots : Cgcm_ir.Ir.func -> (int, bool) Hashtbl.t
     or launch, used by a terminator. *)
 
 type t = {
-  func : Cgcm_ir.Ir.func;
   defs : Cgcm_ir.Ir.instr option array;
   slots : (int, bool) Hashtbl.t;
+  stored : (int, Cgcm_ir.Ir.value list) Hashtbl.t;
+      (** the values stored to each unescaped slot, as the function stood
+          when analysed *)
 }
 
 val analyze : Cgcm_ir.Ir.func -> t

@@ -712,7 +712,7 @@ let analyze_func (f : Ir.func) : fanalysis =
             dpos.(d) <- k
           | Some _ -> ssa := false
           | None -> ());
-          List.iter see (Ir.uses_of_instr i))
+          Ir.iter_uses_instr see i)
         b.Ir.instrs;
       List.iter see (Ir.uses_of_term b.Ir.term))
     f.Ir.blocks;
@@ -725,19 +725,25 @@ let analyze_func (f : Ir.func) : fanalysis =
       (fun bi (b : Ir.block) ->
         (* a register with no def at all reads the zero box in every
            engine, so only defined registers are checked *)
-        let check k = function
+        let k = ref 0 in
+        let check = function
           | Ir.Reg r when r >= f.Ir.nargs && dblock.(r) >= 0 ->
             let db = dblock.(r) in
             if
-              (not (db = bi && dpos.(r) < k))
+              (not (db = bi && dpos.(r) < !k))
               && (db = bi
                  || not (Cgcm_ir.Dominance.dominates (Lazy.force dom) db bi))
             then ssa := false
           | _ -> ()
         in
         if reach.(bi) then begin
-          List.iteri (fun k i -> List.iter (check k) (Ir.uses_of_instr i)) b.Ir.instrs;
-          List.iter (check max_int) (Ir.uses_of_term b.Ir.term)
+          List.iteri
+            (fun j i ->
+              k := j;
+              Ir.iter_uses_instr check i)
+            b.Ir.instrs;
+          k := max_int;
+          List.iter check (Ir.uses_of_term b.Ir.term)
         end)
       f.Ir.blocks
   end;
@@ -759,7 +765,7 @@ let analyze_func (f : Ir.func) : fanalysis =
             match i with
             | Ir.Load (_, (Ir.I64 | Ir.F64), Ir.Reg _) -> ()
             | Ir.Store ((Ir.I64 | Ir.F64), Ir.Reg _, v) -> disq v
-            | _ -> List.iter disq (Ir.uses_of_instr i))
+            | _ -> Ir.iter_uses_instr disq i)
           b.Ir.instrs;
         List.iter disq (Ir.uses_of_term b.Ir.term))
       f.Ir.blocks;

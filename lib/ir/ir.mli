@@ -116,6 +116,10 @@ val init_size : ginit -> int
 
 val def_of_instr : instr -> int option
 val uses_of_instr : instr -> value list
+
+val iter_uses_instr : (value -> unit) -> instr -> unit
+(** [f] on each value of [uses_of_instr], in order, without the list. *)
+
 val uses_of_term : terminator -> value list
 val map_uses_instr : (value -> value) -> instr -> instr
 val succs_of_term : terminator -> int list

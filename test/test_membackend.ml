@@ -563,6 +563,153 @@ let serve_paged_suffix () =
   check Alcotest.int "no residency warmed by a paged request" 0
     (Cgcm_serve.Residency.warm_bytes (Engine.residency eng2))
 
+(* EXPERIMENTS.md quotes the suite harness: its Figure 4 geomeans and
+   its Table 3 highlights are recomputed here from the same runs the
+   explicit golden makes (plus the sequential and inspector-executor
+   ones), so the write-up cannot drift from what `cgcm suite` prints.
+   Whitespace is normalised, so the prose may be re-wrapped freely. *)
+let experiments_doc_matches_harness () =
+  let module Experiments = Cgcm_core.Experiments in
+  let module Registry = Cgcm_progs.Registry in
+  let module Stats = Cgcm_support.Stats in
+  let results =
+    List.map2
+      (fun (prog : Registry.program) (unopt, opt) ->
+        let run exec = snd (Pipeline.run exec prog.source) in
+        let seq = run Pipeline.Sequential in
+        let ie = run Pipeline.Inspector_executor_exec in
+        let kernels =
+          (Pipeline.compile_for Pipeline.Cgcm_optimized prog.source)
+            .Pipeline.doall.Cgcm_frontend.Doall.kernels
+        in
+        {
+          Experiments.prog;
+          seq;
+          ie;
+          unopt;
+          opt;
+          kernels = List.length kernels;
+          baseline_applicable =
+            List.length
+              (List.filter (fun k -> k.Cgcm_frontend.Doall.k_named_applicable)
+                 kernels);
+          outputs_match = true;
+        })
+      Registry.all
+      (List.combine
+         (Lazy.force explicit_unopt_runs)
+         (Lazy.force explicit_opt_runs))
+  in
+  let doc =
+    (* dune runtest stages the file beside the test directory; from the
+       repository root it is right here *)
+    List.find Sys.file_exists [ "../EXPERIMENTS.md"; "EXPERIMENTS.md" ]
+    |> fun path -> In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.concat_map (String.split_on_char ' ')
+    |> List.filter (fun w -> w <> "")
+    |> String.concat " "
+  in
+  let contains text =
+    let n = String.length text in
+    let rec at i =
+      i + n <= String.length doc && (String.sub doc i n = text || at (i + 1))
+    in
+    at 0
+  in
+  let quoted what text =
+    check Alcotest.bool
+      (Printf.sprintf "EXPERIMENTS.md quotes %s: %S" what text)
+      true (contains text)
+  in
+  let (g_ie, g_un, g_op), (c_ie, c_un, c_op) = Experiments.geomeans results in
+  List.iter
+    (fun (label, paper, measured) ->
+      quoted "a Figure 4 geomean"
+        (Printf.sprintf "| %s | %s | %.2fx |" label paper measured))
+    [
+      ("inspector-executor", "0.92x", g_ie);
+      ("unoptimized CGCM", "0.71x", g_un);
+      ("optimized CGCM", "5.36x", g_op);
+      ("IE (clamped ≥ 1x)", "1.53x", c_ie);
+      ("unopt (clamped ≥ 1x)", "2.81x", c_un);
+      ("opt (clamped ≥ 1x)", "7.18x", c_op);
+    ];
+  let find name =
+    List.find (fun r -> r.Experiments.prog.Registry.name = name) results
+  in
+  let gpu (r : Interp.result) =
+    Printf.sprintf "%.1f" (Stats.percent r.Interp.gpu r.Interp.wall)
+  in
+  quoted "the Table 3 GPU% highlights"
+    ("GPU% unoptimized→optimized: "
+    ^ String.concat "; "
+        (List.map
+           (fun name ->
+             let r = find name in
+             Printf.sprintf "%s %s→%s%%" name (gpu r.Experiments.unopt)
+               (gpu r.Experiments.opt))
+           [ "adi"; "jacobi-2d-imper"; "lu"; "cfd"; "srad"; "nw" ])
+    ^ ".");
+  let limit r = Registry.limiting_to_string (Experiments.limiting r) in
+  let agree, mismatches =
+    List.partition
+      (fun r ->
+        Experiments.limiting r.Experiments.opt
+        = r.Experiments.prog.Registry.paper_limiting)
+      results
+  in
+  (* mismatches grouped by (ours, paper), in order of first appearance *)
+  let groups =
+    List.fold_left
+      (fun acc r ->
+        let key =
+          ( limit r.Experiments.opt,
+            Registry.limiting_to_string r.Experiments.prog.Registry.paper_limiting
+          )
+        in
+        let name = r.Experiments.prog.Registry.name in
+        if List.mem_assoc key acc then
+          List.map
+            (fun (k, names) -> if k = key then (k, names @ [ name ]) else (k, names))
+            acc
+        else acc @ [ (key, [ name ]) ])
+      [] mismatches
+  in
+  let and_list = function
+    | [] -> ""
+    | [ x ] -> x
+    | xs ->
+      let rev = List.rev xs in
+      String.concat ", " (List.rev (List.tl rev)) ^ " and " ^ List.hd rev
+  in
+  quoted "the limiting-factor agreement"
+    (Printf.sprintf
+       "Limiting factors agree with the paper for %d of %d programs. The \
+        mismatches, as ours vs the paper's: %s."
+       (List.length agree) (List.length results)
+       (String.concat "; "
+          (List.map
+             (fun ((ours, paper), names) ->
+               Printf.sprintf "%s vs %s for %s" ours paper (and_list names))
+             groups)));
+  let total_kernels =
+    List.fold_left (fun a r -> a + r.Experiments.kernels) 0 results
+  in
+  let exact =
+    List.length
+      (List.filter
+         (fun r -> r.Experiments.kernels = r.Experiments.prog.Registry.paper_kernels)
+         results)
+  in
+  quoted "the kernel counts"
+    (Printf.sprintf
+       "Kernel counts: %d vs the paper's %d (exact per-program counts match \
+        for %d of %d;"
+       total_kernels
+       (List.fold_left (fun a r -> a + r.Experiments.prog.Registry.paper_kernels) 0 results)
+       exact (List.length results))
+
 let tests =
   [
     Alcotest.test_case "backend differential (unopt, suite)" `Slow
@@ -588,4 +735,6 @@ let tests =
     Alcotest.test_case "serve: +paged mode suffix" `Slow serve_paged_suffix;
     Alcotest.test_case "explicit vs paged A/B (opt, full suite)" `Slow
       explicit_vs_paged_suite;
+    Alcotest.test_case "EXPERIMENTS.md matches the suite harness" `Slow
+      experiments_doc_matches_harness;
   ]
