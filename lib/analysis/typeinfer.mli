@@ -22,10 +22,6 @@ type cls = Scalar | Pointer | Double_pointer
 
 val cls_to_string : cls -> string
 
-val classify_source : Cgcm_ir.Ir.func -> Alias.t -> Cgcm_ir.Ir.value -> cls
-(** Classify one seed value (a parameter register or a global) by forward
-    taint through the kernel body. *)
-
 type kernel_types = {
   param_cls : cls array;
       (** classification of kernel parameters; index 0 is the thread id *)
