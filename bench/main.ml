@@ -20,7 +20,7 @@ module Memspace = Cgcm_memory.Memspace
 module Device = Cgcm_gpusim.Device
 module Cost_model = Cgcm_gpusim.Cost_model
 module Runtime = Cgcm_runtime.Runtime
-module Avl = Cgcm_support.Avl_map.Int
+module Avl = Cgcm_support.Avl_map
 module J = Cgcm_serve.Json
 module Engine = Cgcm_serve.Engine
 module Client = Cgcm_serve.Client

@@ -36,7 +36,7 @@
    unoptimized whole-unit protocol re-copies resident units by design,
    and the sanitizer must run clean on it. *)
 
-module Avl = Cgcm_support.Avl_map.Int
+module Avl = Cgcm_support.Avl_map
 module Errors = Cgcm_support.Errors
 
 type shadow = {

@@ -58,12 +58,11 @@ val evict_lru_unit : ?except:string -> t -> bool
 val cross_evictions : t -> int
 
 val check_invariants : t -> unit
-(** The daemon's crash-only audit between requests, in two halves:
-    {!Cgcm_runtime.Runtime.check_units} on every entry, then one
-    {!Cgcm_runtime.Runtime.check_owned} over all entries' run-times.
-    Every entry shares the daemon's device, so a driver-heap block is an
-    orphan only when no entry owns it. One device snapshot per audit,
-    whatever the number of entries. *)
+(** The daemon's crash-only audit between requests: one
+    {!Cgcm_runtime.Runtime.audit} over every entry's run-time. Every
+    entry shares the daemon's device, so a driver-heap block is an
+    orphan only when no entry owns it. One walk of the device's block
+    index per audit, whatever the number of entries. *)
 
 val shutdown : t -> int
 (** Evict all warmth, verify that no entry keeps a resident unit, run

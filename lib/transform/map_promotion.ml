@@ -282,15 +282,7 @@ let resolve_to_entry (f : Ir.func) (alias : Alias.t) (v : Ir.value) :
     match alias.Alias.defs.(r) with
     | Some (Ir.Load (_, _, Ir.Reg s))
       when Hashtbl.find_opt alias.Alias.slots s = Some true -> (
-      let stores =
-        Ir.fold_instrs
-          (fun acc _ i ->
-            match i with
-            | Ir.Store (_, Ir.Reg s', v') when s' = s -> v' :: acc
-            | _ -> acc)
-          [] f
-      in
-      match stores with
+      match Option.value ~default:[] (Hashtbl.find_opt alias.Alias.stored s) with
       | [ Ir.Reg p ] when p < f.Ir.nargs -> Some (Site_param p)
       | [ Ir.Global g ] -> Some (Site_global g)
       | _ -> None)

@@ -577,9 +577,7 @@ let test_check_owned_siblings () =
     rt
   in
   let a = runtime "a" and b = runtime "b" in
-  Runtime.check_units a;
-  Runtime.check_units b;
-  Runtime.check_owned dev [ a; b ];
+  Runtime.audit dev [ a; b ];
   (* audited alone, each run-time sees its sibling's block as an orphan:
      the verdict the old per-run-time reverse check gave on a shared
      device *)

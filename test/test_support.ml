@@ -1,7 +1,7 @@
 (* Tests for the support library: the AVL map (the paper's allocation-map
    structure) and the numeric helpers. *)
 
-module Avl = Cgcm_support.Avl_map.Int
+module Avl = Cgcm_support.Avl_map
 module Stats = Cgcm_support.Stats
 
 let check = Alcotest.check
