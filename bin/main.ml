@@ -317,14 +317,11 @@ let print_pass_stats format (c : Pipeline.compiled) =
           (Printf.sprintf
              "\n    {\"pass\": %S, \"wall_ms\": %.3f, \"changed\": %b, \
               \"instrs\": [%d, %d], \"launches\": [%d, %d], \
-              \"runtime_calls\": [%d, %d]%s}"
+              \"runtime_calls\": [%d, %d]}"
              s.Pass.ps_pass s.Pass.ps_wall_ms s.Pass.ps_changed
              s.Pass.ps_instrs_before s.Pass.ps_instrs_after
              s.Pass.ps_launches_before s.Pass.ps_launches_after
-             s.Pass.ps_rtcalls_before s.Pass.ps_rtcalls_after
-             (match s.Pass.ps_ir_changed with
-             | None -> ""
-             | Some ir -> Printf.sprintf ", \"ir_changed\": %b" ir)))
+             s.Pass.ps_rtcalls_before s.Pass.ps_rtcalls_after))
       c.Pipeline.pass_stats;
     Buffer.add_string b "\n  ]\n}\n";
     print_string (Buffer.contents b)
@@ -525,10 +522,14 @@ let suite_cmd =
     guarded @@ fun () ->
     let module E = Cgcm_core.Experiments in
     let { engine; jobs; backend; page_bytes } = o in
+    let usage msg =
+      Fmt.epr "cgcm suite: %s@." msg;
+      exit Cgcm_core.Diagnostics.exit_usage
+    in
     match only with
     | Some name -> begin
       match Cgcm_progs.Registry.find name with
-      | None -> Fmt.epr "unknown program %s@." name
+      | None -> usage ("unknown program " ^ name)
       | Some p when dump = Some `Source ->
         print_string p.Cgcm_progs.Registry.source
       | Some p when dump = Some `Ir ->
@@ -547,6 +548,7 @@ let suite_cmd =
           r.E.kernels
           (if r.E.outputs_match then "outputs-ok" else "OUTPUT MISMATCH")
     end
+    | None when dump <> None -> usage "--dump needs --only"
     | None ->
       let results =
         E.run_suite ~engine ~jobs ~backend ?page_bytes

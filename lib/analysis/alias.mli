@@ -17,12 +17,6 @@ type obj =
 val def_map : Cgcm_ir.Ir.func -> Cgcm_ir.Ir.instr option array
 (** Defining instruction per register (registers are single-assignment). *)
 
-val unescaped_slots : Cgcm_ir.Ir.func -> (int, bool) Hashtbl.t
-(** Per alloca register: is the slot's address (and every pointer derived
-    from it by arithmetic) only ever used in the address position of
-    loads and stores? Escaping uses: stored as a value, passed to a call
-    or launch, used by a terminator. *)
-
 type t = {
   defs : Cgcm_ir.Ir.instr option array;
   slots : (int, bool) Hashtbl.t;

@@ -504,8 +504,7 @@ let figure2 () : string =
    beats cyclic, which loses to the CPU — holds across the whole range,
    with the gap growing as transfers get more expensive. *)
 
-let latency_sweep ?(latencies = [ 5_000.; 20_000.; 50_000.; 100_000.; 200_000. ])
-    () : string =
+let latency_sweep () : string =
   let src = Cgcm_progs.Polybench.jacobi_2d ~n:48 ~steps:24 () in
   let rows =
     List.map
@@ -525,7 +524,7 @@ let latency_sweep ?(latencies = [ 5_000.; 20_000.; 50_000.; 100_000.; 200_000. ]
           sp Pipeline.Cgcm_unoptimized;
           sp Pipeline.Cgcm_optimized;
         ])
-      latencies
+      [ 5_000.; 20_000.; 50_000.; 100_000.; 200_000. ]
   in
   "Cost-model sensitivity: jacobi-2d speedups as the per-transfer latency
    sweeps over 40x (the qualitative ordering is invariant; only the
@@ -558,8 +557,7 @@ int main() {
 }
 |}
 
-let ablation ?(names = [ "srad"; "jacobi-2d-imper"; "hotspot"; "nw" ]) () :
-    string =
+let ablation () : string =
   let module P = Pipeline in
   (* Each configuration is the optimized schedule (Section 5.3: glue ->
      alloca promotion -> map promotion) cut down to comm-mgmt plus the
@@ -604,7 +602,7 @@ let ablation ?(names = [ "srad"; "jacobi-2d-imper"; "hotspot"; "nw" ]) () :
         Option.map
           (fun p -> row name p.Registry.source)
           (Registry.find name))
-      names
+      [ "srad"; "jacobi-2d-imper"; "hotspot"; "nw" ]
     @ [ row "local-buffer helper" ablation_local_buffer_source ]
   in
   "Ablation: speedup over sequential as optimization passes accumulate\n\

@@ -67,9 +67,6 @@ val breakdown_table : prog_result list -> string
 (** Extension: absolute cycle decomposition (wall / cpu / gpu / comm /
     sync / launches) of the optimized runs. *)
 
-val feature_programs : (string * string) list
-(** The Table 1 capability microbenchmarks (name, CGC source). *)
-
 val table1 : unit -> string
 (** Table 1: the paper's static comparison plus executed capability
     checks (each microbenchmark diffed against its sequential run). *)
@@ -82,18 +79,14 @@ val figure3 : unit -> string
 (** Figure 3: the system overview as a pipeline diagram, one module per
     stage. *)
 
-val figure2_source : string
-
 val figure2 : unit -> string
 (** Figure 2: rendered execution schedules for the naive cyclic,
     inspector-executor, and acyclic regimes. *)
 
-val latency_sweep : ?latencies:float list -> unit -> string
+val latency_sweep : unit -> string
 (** Extension: sweep the per-transfer latency and show the qualitative
     ordering (opt > IE > unopt) is invariant. *)
 
-val ablation_local_buffer_source : string
-
-val ablation : ?names:string list -> unit -> string
+val ablation : unit -> string
 (** Extension: per-pass contributions — managed only, map promotion
     alone, + glue kernels, + alloca promotion. *)

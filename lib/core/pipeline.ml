@@ -33,7 +33,7 @@ let plan_of_level = function
   | Managed -> Pass.managed_pipeline
   | Optimized -> Pass.optimized_pipeline
 
-let compile ?(parallel = Doall.Auto) ?(level = Optimized) ?plan ?hooks ?verify
+let compile ?(parallel = Doall.Auto) ?(level = Optimized) ?plan ?hooks
     (source : string) : compiled =
   let ast = Parser.parse_string source in
   let ast, doall = Doall.transform ~mode:parallel ast in
@@ -55,7 +55,7 @@ let compile ?(parallel = Doall.Auto) ?(level = Optimized) ?plan ?hooks ?verify
           base.Pass.on_stat s);
     }
   in
-  Pass.run_plan ~hooks ?verify (Manager.create modul) plan;
+  Pass.run_plan ~hooks (Manager.create modul) plan;
   { modul; doall; level; parallel; pass_stats = List.rev !stats }
 
 (* The paper's execution configurations. *)
@@ -167,15 +167,14 @@ let parse_mode m =
   | Some e, None -> Ok (e, Mem_backend.Explicit)
   | Some e, Some s -> Result.map (fun b -> (e, b)) (Mem_backend.of_string s)
 
-let compile_for ?plan ?hooks ?verify execution source =
+let compile_for ?plan ?hooks execution source =
   let s = shape execution in
-  compile ~parallel:s.doall_mode ~level:s.compile_level ?plan ?hooks ?verify
-    source
+  compile ~parallel:s.doall_mode ~level:s.compile_level ?plan ?hooks source
 
 let config ?(cost = Cgcm_gpusim.Cost_model.default) ?(trace = false)
-    ?(engine = Interp.default_config.Interp.engine) ?dirty_spans ?faults
-    ?device_mem ?page_bytes ?(paranoid = false) ?(sanitize = false)
-    ?(jobs = 0) ?(backend = Mem_backend.Explicit) execution : Interp.config =
+    ?(engine = Interp.default_config.Interp.engine) ?faults ?device_mem
+    ?page_bytes ?(paranoid = false) ?(sanitize = false) ?(jobs = 0)
+    ?(backend = Mem_backend.Explicit) execution : Interp.config =
   let s = shape execution in
   let cost =
     match device_mem with
@@ -194,7 +193,7 @@ let config ?(cost = Cgcm_gpusim.Cost_model.default) ?(trace = false)
     cost;
     trace;
     engine;
-    dirty_spans = Option.value dirty_spans ~default:s.dirty_spans;
+    dirty_spans = s.dirty_spans;
     faults;
     paranoid;
     sanitize;
@@ -202,11 +201,11 @@ let config ?(cost = Cgcm_gpusim.Cost_model.default) ?(trace = false)
     backend;
   }
 
-let run ?cost ?trace ?engine ?dirty_spans ?faults ?device_mem ?page_bytes
-    ?paranoid ?sanitize ?jobs ?backend execution source =
+let run ?cost ?trace ?engine ?faults ?device_mem ?page_bytes ?paranoid
+    ?sanitize ?jobs ?backend execution source =
   let c = compile_for execution source in
   let config =
-    config ?cost ?trace ?engine ?dirty_spans ?faults ?device_mem ?page_bytes
-      ?paranoid ?sanitize ?jobs ?backend execution
+    config ?cost ?trace ?engine ?faults ?device_mem ?page_bytes ?paranoid
+      ?sanitize ?jobs ?backend execution
   in
   (c, Interp.run ~config c.modul)

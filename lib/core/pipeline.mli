@@ -29,13 +29,12 @@ val compile :
   ?level:level ->
   ?plan:Cgcm_transform.Pass.plan ->
   ?hooks:Cgcm_transform.Pass.hooks ->
-  ?verify:Cgcm_transform.Pass.verify_policy ->
   string ->
   compiled
 (** Compile CGC source text. The module is verified after lowering and
-    (by default) after every transformation. [plan] overrides the pass
-    plan the [level] implies — e.g. a custom [--passes] spec; [hooks]
-    observes each pass execution. Raises the frontend/transform exceptions
+    after every transformation. [plan] overrides the pass plan the
+    [level] implies — e.g. a custom [--passes] spec; [hooks] observes
+    each pass execution. Raises the frontend/transform exceptions
     ([Parse_error], [Sema_error], [Doall_error], [Ill_formed]) on bad
     input or (for the latter) a compiler bug. *)
 
@@ -85,7 +84,6 @@ val parse_mode :
 val compile_for :
   ?plan:Cgcm_transform.Pass.plan ->
   ?hooks:Cgcm_transform.Pass.hooks ->
-  ?verify:Cgcm_transform.Pass.verify_policy ->
   execution ->
   string ->
   compiled
@@ -96,7 +94,6 @@ val config :
   ?cost:Cgcm_gpusim.Cost_model.t ->
   ?trace:bool ->
   ?engine:Interp.engine ->
-  ?dirty_spans:bool ->
   ?faults:Cgcm_gpusim.Faults.spec ->
   ?device_mem:int ->
   ?page_bytes:int ->
@@ -111,9 +108,8 @@ val config :
     {!Interp.default_config}'s values.
 
     [engine] selects the interpreter engine (default
-    {!Interp.default_config}'s, i.e. the closure-compiled one).
-    [dirty_spans] overrides the {!shape}'s dirty-span setting for A/B
-    experiments; by default it is on for {!Cgcm_optimized} only, so
+    {!Interp.default_config}'s, i.e. the closure-compiled one). Dirty-span
+    transfers follow the {!shape}: on for {!Cgcm_optimized} only, so
     {!Cgcm_unoptimized} keeps the paper's whole-unit protocol and the
     Figure 4 contrast measures what the paper measures.
 
@@ -139,7 +135,6 @@ val run :
   ?cost:Cgcm_gpusim.Cost_model.t ->
   ?trace:bool ->
   ?engine:Interp.engine ->
-  ?dirty_spans:bool ->
   ?faults:Cgcm_gpusim.Faults.spec ->
   ?device_mem:int ->
   ?page_bytes:int ->

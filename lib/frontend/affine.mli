@@ -30,9 +30,6 @@ val const_eval : Ast.expr -> int option
 (** Constant folding over integer expressions (literals, arithmetic,
     sizeof, int casts). *)
 
-val expr_equal : Ast.expr -> Ast.expr -> bool
-(** Structural equality, used to compare invariant atoms. *)
-
 val mentions : string list -> Ast.expr -> bool
 (** Does the expression mention any of the named variables? *)
 

@@ -116,7 +116,4 @@ val indirection : cty -> int
 
 val pp_cty : Format.formatter -> cty -> unit
 val string_of_binop : binop -> string
-val pp_expr : Format.formatter -> expr -> unit
-val pp_topdecl : Format.formatter -> topdecl -> unit
-val pp_program : Format.formatter -> program -> unit
 val program_to_string : program -> string

@@ -17,10 +17,6 @@ type clause = { c_op : op; c_mode : mode }
 type spec = { seed : int; clauses : clause list }
 (** Immutable, shareable plan description. *)
 
-val default_clauses : clause list
-(** The plan used when only a seed is given: [Prob 0.05] on every
-    operation. *)
-
 val parse : string -> spec
 (** Parse ["SEED[:SPEC]"] where SPEC is comma-separated clauses
     [op@N] (fail the n-th call) or [op%P] (fail with probability P),
@@ -28,8 +24,6 @@ val parse : string -> spec
     {!default_clauses} applies. Raises [Failure] on malformed input. *)
 
 val to_string : spec -> string
-
-val op_name : op -> string
 
 type t
 (** A live, stateful instance of a plan (per-clause call counters and

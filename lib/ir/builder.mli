@@ -25,7 +25,6 @@ val call : t -> string -> Ir.value list -> Ir.value
 val call_void : t -> string -> Ir.value list -> unit
 val launch : t -> kernel:string -> trip:Ir.value -> args:Ir.value list -> unit
 
-val set_term : t -> Ir.terminator -> unit
 val br : t -> int -> unit
 val cbr : t -> Ir.value -> int -> int -> unit
 val ret : t -> Ir.value option -> unit

@@ -143,8 +143,6 @@ module Intrinsic : sig
   val is_cgcm : string -> bool
   (** Does the name belong to the CGCM run-time? *)
 
-  val pure_math : string list
-  (** Math intrinsics callable from kernels: no memory effects. *)
-
   val is_pure_math : string -> bool
+  (** Math intrinsics callable from kernels: no memory effects. *)
 end

@@ -1,16 +1,8 @@
 (** Human-readable IR dumps, used by the CLI ([cgcm ir]), examples, and
     golden tests. *)
 
-val string_of_ty : Ir.ty -> string
 val string_of_binop : Ir.binop -> string
-val string_of_unop : Ir.unop -> string
-
-val pp_value : Format.formatter -> Ir.value -> unit
-val pp_instr : Format.formatter -> Ir.instr -> unit
 val pp_term : Format.formatter -> Ir.terminator -> unit
-val pp_func : Format.formatter -> Ir.func -> unit
-val pp_global : Format.formatter -> Ir.global -> unit
-val pp_modul : Format.formatter -> Ir.modul -> unit
 
 val func_to_string : Ir.func -> string
 val modul_to_string : Ir.modul -> string

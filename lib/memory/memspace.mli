@@ -71,10 +71,6 @@ val pool_flush : t -> unit
     block allocated before the launch (the access tracker would count it
     as a communicated unit). *)
 
-val block_of_addr : t -> int -> block
-(** Resolve an interior pointer to its allocation unit (the paper's
-    greatest-key-≤ lookup). Faults on wild pointers. *)
-
 val unit_bounds : t -> int -> int * int
 (** [unit_bounds t addr] is [(base, size)] of the containing unit. *)
 

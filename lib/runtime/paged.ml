@@ -244,4 +244,3 @@ let fault_cost t = t.fault_cost
 let page_bytes t = t.page_bytes
 let last_host_fault_pages t = t.last_host_fault_pages
 let pending t = (t.pending_cycles, t.pending_faults)
-let migrated_bytes t = t.stats.bytes_to_dev + t.stats.bytes_to_host

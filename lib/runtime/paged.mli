@@ -96,4 +96,3 @@ val fault_cost : t -> float
 (** Full migration cost of one page, either direction. *)
 
 val page_bytes : t -> int
-val migrated_bytes : t -> int

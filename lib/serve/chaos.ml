@@ -98,14 +98,11 @@ let plan ~seed ~requests =
 (* ------------------------------------------------------------------ *)
 (* The bit-identity oracle                                             *)
 
-(* Memoized single-shot replies. Module-level state, but it lives only
-   in the fork parent — the driver — and never on a daemon's worker
-   domain. *)
-let reference_tbl : (string, string * int) Hashtbl.t = Hashtbl.create 16
-
-let reference ~mode source =
+(* A single-shot reply, memoized in [tbl]: each chaos run brings its own
+   table, so no state outlives the run. *)
+let reference tbl ~mode source =
   let key = mode ^ "\x00" ^ source in
-  match Hashtbl.find_opt reference_tbl key with
+  match Hashtbl.find_opt tbl key with
   | Some v -> v
   | None ->
     let exec, backend =
@@ -115,7 +112,7 @@ let reference ~mode source =
     in
     let _, r = Pipeline.run ~backend exec source in
     let v = (r.Interp.output, Int64.to_int r.Interp.exit_code) in
-    Hashtbl.replace reference_tbl key v;
+    Hashtbl.replace tbl key v;
     v
 
 (* ------------------------------------------------------------------ *)
@@ -203,6 +200,7 @@ let run_schedule cfg (sched : schedule) : outcome =
     try Unix.unlink (Journal.segment_path journal_path ~shards i)
     with Unix.Unix_error _ -> ()
   done;
+  let reference = reference (Hashtbl.create 16) in
   let violations = ref [] in
   let vio phase detail =
     violations := { vio_phase = phase; vio_detail = detail } :: !violations

@@ -49,7 +49,6 @@ type config = {
   max_retries : int;  (* extra attempts on injected transient faults *)
   backoff_ms : float;  (* base backoff between attempts; doubles *)
   circuit_threshold : int;  (* consecutive failures that trip a tenant *)
-  circuit_probation : int;  (* degraded runs before a half-open probe *)
   cache_capacity : int;  (* compiled-module LRU entries *)
   faults : Faults.spec option;  (* daemon-wide injected-fault plan *)
 }
@@ -63,7 +62,6 @@ let default_config =
     max_retries = 3;
     backoff_ms = 0.0;
     circuit_threshold = 3;
-    circuit_probation = 2;
     cache_capacity = 128;
     faults = None;
   }
@@ -408,7 +406,7 @@ let warm_after t ~tenant ~key ~mode ~source (compiled : Pipeline.compiled) =
     |> List.filter (fun (g : Ir.global) -> not g.Ir.gread_only)
     |> List.map (fun (g : Ir.global) -> (g.Ir.gname, g.Ir.gsize))
   in
-  if globals <> [] && Residency.warm t.res ~tenant ~key ~globals () then
+  if globals <> [] && Residency.warm t.res ~tenant ~key ~globals then
     journal_append t
       (Journal.Warm
          ( {
@@ -495,7 +493,10 @@ let execute t (req : Wire.request) ~mode =
   let warmable = device_used && backend = Mem_backend.Explicit in
   (attempt 1 0, key, compiled, hitmiss, fuel, warmable)
 
-let finish_breaker st ~threshold ~probation ~trips exn_opt =
+(* Degraded runs an open breaker serves before a half-open probe. *)
+let circuit_probation = 2
+
+let finish_breaker st ~threshold ~trips exn_opt =
   match exn_opt with
   | None ->
     st.t_consec <- 0;
@@ -503,7 +504,7 @@ let finish_breaker st ~threshold ~probation ~trips exn_opt =
   | Some exn when is_circuit_failure exn ->
     st.t_consec <- st.t_consec + 1;
     if st.t_breaker = Half_open || st.t_consec >= threshold then begin
-      st.t_breaker <- Open probation;
+      st.t_breaker <- Open circuit_probation;
       st.t_trips <- st.t_trips + 1;
       incr trips
     end
@@ -544,8 +545,8 @@ let process_raw t (req : Wire.request) : Wire.reply =
         match outcome with
         | O_ok (r, retries) ->
           (if not degraded then
-             finish_breaker st ~threshold:t.cfg.circuit_threshold
-               ~probation:t.cfg.circuit_probation ~trips None);
+             finish_breaker st ~threshold:t.cfg.circuit_threshold ~trips
+               None);
           if
             r.Interp.leaks.Runtime.resident_nonglobal <> 0
             || r.Interp.leaks.Runtime.leaked_dev_blocks <> 0
@@ -573,8 +574,8 @@ let process_raw t (req : Wire.request) : Wire.reply =
             Wire.Deadline_exceeded
         | O_failed (exn, retries) ->
           (if not degraded then
-             finish_breaker st ~threshold:t.cfg.circuit_threshold
-               ~probation:t.cfg.circuit_probation ~trips (Some exn));
+             finish_breaker st ~threshold:t.cfg.circuit_threshold ~trips
+               (Some exn));
           t.stats.failed <- t.stats.failed + 1;
           let code, msg =
             match Diagnostics.classify exn with
@@ -656,7 +657,7 @@ let shutdown t =
 
    Soundness: compilation is deterministic, and [warm_after] always
    establishes the same deterministic residency (the warm entries' host
-   contents are [Residency.default_init]'s per-name pattern), so the
+   contents are [Residency]'s deterministic per-name pattern), so the
    rebuilt state is exactly what a fresh daemon would hold after
    serving the same requests — which is why every post-recovery reply
    stays bit-identical to a fresh single-shot run. Device memory

@@ -17,7 +17,6 @@ type config = {
   backoff_ms : float;  (** base backoff between attempts; doubles *)
   circuit_threshold : int;
       (** consecutive circuit-countable failures that trip a tenant *)
-  circuit_probation : int;  (** degraded runs before a half-open probe *)
   cache_capacity : int;  (** compiled-module LRU entries *)
   faults : Cgcm_gpusim.Faults.spec option;
       (** daemon-wide injected-fault plan; each execution attempt gets a

@@ -8,7 +8,7 @@
 
    Payloads are compact JSON (the serve codec), one record per durable
    fact. Records are appended before the reply that depends on them is
-   delivered, and fsynced at a configurable cadence, so anything a
+   delivered, and each is fsynced as it is appended, so anything a
    client was told survived the daemon actually survives a kill -9 —
    modulo the torn tail, which replay detects (short read, CRC or parse
    mismatch) and tolerates by ending at the last intact record.
@@ -249,12 +249,10 @@ type jstats = { j_appends : int; j_snapshots : int; j_fsyncs : int }
 
 type t = {
   jpath : string;
-  fsync_every : int;
   snapshot_every : int;
   mutable fd : Unix.file_descr;
   mutable st : state;
   mutable since_snapshot : int;  (* records since the last snapshot *)
-  mutable unsynced : int;  (* appends since the last fsync *)
   mutable appends : int;
   mutable snapshots : int;
   mutable fsyncs : int;
@@ -274,24 +272,21 @@ let stats t = { j_appends = t.appends; j_snapshots = t.snapshots; j_fsyncs = t.f
 
 let fsync t =
   Unix.fsync t.fd;
-  t.fsyncs <- t.fsyncs + 1;
-  t.unsynced <- 0
+  t.fsyncs <- t.fsyncs + 1
 
 let write_record t r =
   really_write t.fd (frame (Json.print (record_to_json r)))
 
-let create ?(fsync_every = 1) ?(snapshot_every = 256) ?initial ~path () =
+let create ?(snapshot_every = 256) ?initial ~path () =
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   really_write fd (Bytes.of_string magic);
   let t =
     {
       jpath = path;
-      fsync_every = max 1 fsync_every;
       snapshot_every = max 1 snapshot_every;
       fd;
       st = Option.value initial ~default:empty_state;
       since_snapshot = 0;
-      unsynced = 0;
       appends = 0;
       snapshots = 0;
       fsyncs = 0;
@@ -320,7 +315,6 @@ let rotate t =
   t.fd <- fd;
   t.snapshots <- t.snapshots + 1;
   t.since_snapshot <- 0;
-  t.unsynced <- 0;
   t.fsyncs <- t.fsyncs + 1
 
 let append t r =
@@ -329,8 +323,7 @@ let append t r =
   t.st <- apply t.st r;
   t.appends <- t.appends + 1;
   t.since_snapshot <- t.since_snapshot + 1;
-  t.unsynced <- t.unsynced + 1;
-  if t.unsynced >= t.fsync_every then fsync t;
+  fsync t;
   if t.since_snapshot >= t.snapshot_every then rotate t
 
 let close t =

@@ -4,8 +4,8 @@
     per-tenant device residency, circuit-breaker verdicts — is purely
     in-memory; a crash would forfeit all of it and every tenant would
     pay cold-start costs again. The journal makes that state crash-only:
-    every durable fact is appended as a CRC-framed record (fsynced at a
-    configurable cadence) {e before} the reply that depends on it is
+    every durable fact is appended as a CRC-framed record (fsynced on
+    every append) {e before} the reply that depends on it is
     sent, and a periodic snapshot bounds the file by folding the log
     into one record.
 
@@ -48,8 +48,6 @@ type state = {
   js_globals_gen : int;  (** device generation high-water mark *)
 }
 
-val empty_state : state
-
 type record =
   | Compile of compile_rec
   | Warm of warm_rec * int  (** [globals_gen] at warm time *)
@@ -59,7 +57,6 @@ type record =
 type t
 
 val create :
-  ?fsync_every:int ->
   ?snapshot_every:int ->
   ?initial:state ->
   path:string ->
@@ -68,14 +65,13 @@ val create :
 (** Start a fresh journal at [path] (truncating any previous file).
     [initial] (a replayed state, during recovery) is written immediately
     as a snapshot record so the new journal is self-contained from its
-    first byte. [fsync_every] (default 1 = every append) trades
-    durability lag for throughput; [snapshot_every] (default 256)
-    bounds the log by rotating once that many records accumulate since
-    the last snapshot. *)
+    first byte. [snapshot_every] (default 256) bounds the log by
+    rotating once that many records accumulate since the last
+    snapshot. *)
 
 val append : t -> record -> unit
-(** Frame, write and (per [fsync_every]) fsync one record, fold it into
-    the in-memory aggregate, and rotate through a snapshot when due. *)
+(** Frame, write and fsync one record, fold it into the in-memory
+    aggregate, and rotate through a snapshot when due. *)
 
 val state : t -> state
 (** The aggregate of everything appended (and the initial snapshot). *)
@@ -108,7 +104,3 @@ val replay : path:string -> replay option
 (** Read and fold the journal at [path]; [None] when no file exists.
     A bad magic header yields an empty, torn state rather than an
     error — crash-only recovery never refuses to start. *)
-
-val crc32 : string -> int
-(** The journal's record checksum (IEEE CRC-32), exposed for tests and
-    for the chaos harness's deliberate corruption. *)

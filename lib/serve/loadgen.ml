@@ -84,7 +84,10 @@ let spin_source =
 
 let modes = [| "opt"; "opt"; "opt"; "unopt"; "seq"; "unified" |]
 
-let plan_request rng ~tenants ~poison ~deadline_every k : Wire.request =
+(* Every 17th request (from the fourth) is a deadline probe. *)
+let deadline_every = 17
+
+let plan_request rng ~tenants ~poison k : Wire.request =
   if poison && k mod 9 = 4 then
     (* The poison tenant's driver always faults: transfers and launches
        fail on every attempt, so retries exhaust and its breaker trips.
@@ -98,7 +101,7 @@ let plan_request rng ~tenants ~poison ~deadline_every k : Wire.request =
       rq_strict = false;
       rq_faults = Some "7:htod%1.0,launch%1.0";
     }
-  else if deadline_every > 0 && k mod deadline_every = 3 then
+  else if k mod deadline_every = 3 then
     {
       rq_id = k;
       rq_tenant = Printf.sprintf "t%d" (k mod tenants);
@@ -124,12 +127,10 @@ let percentile sorted p =
   if n = 0 then 0.0
   else sorted.(min (n - 1) (int_of_float (float_of_int n *. p)))
 
-let run ~socket_path ~tenants ~requests ?(burst = 16) ?(poison = true)
-    ?(deadline_every = 17) ~seed () : report =
+let run ~socket_path ~tenants ~requests ?(burst = 16) ?(poison = true) ~seed
+    () : report =
   let rng = Rng.stream ~seed 0 in
-  let reqs =
-    List.init requests (plan_request rng ~tenants ~poison ~deadline_every)
-  in
+  let reqs = List.init requests (plan_request rng ~tenants ~poison) in
   let lat = ref [] in
   let ok = ref 0 and shed = ref 0 and deadline = ref 0 in
   let copen = ref 0 and errors = ref 0 and degraded = ref 0 in

@@ -35,7 +35,6 @@ val run :
   requests:int ->
   ?burst:int ->
   ?poison:bool ->
-  ?deadline_every:int ->
   seed:int ->
   unit ->
   report

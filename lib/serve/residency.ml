@@ -143,12 +143,13 @@ let drop_entry t e =
   while Runtime.evict_one e.e_rt do () done;
   Hashtbl.remove t.entries (e.e_tenant, e.e_key)
 
-let default_init name size =
+(* Initial host contents of a warmed global: a deterministic per-name
+   pattern. *)
+let init name size =
   let seed = String.fold_left (fun acc c -> acc + Char.code c) 7 name in
   Bytes.init size (fun i -> Char.chr ((seed + (37 * i)) land 0xFF))
 
-let warm t ~tenant ~key ~globals ?init () =
-  let init = Option.value init ~default:default_init in
+let warm t ~tenant ~key ~globals =
   let e =
     match find t ~tenant ~key with
     | Some e -> e

@@ -24,12 +24,10 @@ val warm :
   tenant:string ->
   key:string ->
   globals:(string * int) list ->
-  ?init:(string -> int -> Bytes.t) ->
-  unit ->
   bool
 (** Create or refresh the warm entry for [(tenant, key)] and make every
-    listed global device-resident ([init name size] supplies initial
-    host contents; the default is a deterministic per-name pattern).
+    listed global device-resident (host contents start as a
+    deterministic per-name pattern).
     Previously-evicted globals are refilled from their written-back host
     copies. False — and the entry is dropped — when residency cannot be
     established even after evicting every other tenant's warmth. *)

@@ -8,7 +8,8 @@
    group's outbox tagged with the connection token it belongs to. With
    [shards = 1] (the default) no worker domains exist and the router
    drives the single engine inline, one queued request per loop
-   iteration — the original single-threaded daemon, byte for byte.
+   iteration, which measured lighter on memory than one worker domain
+   at no resolved throughput cost (DESIGN.md §16).
    With [shards > 1] the router keeps reading and writing sockets while
    the shards compute: I/O and execution overlap, and tenants on
    different shards no longer queue behind each other's requests.
@@ -80,9 +81,9 @@ let socket_live path =
       | () -> true
       | exception Unix.Unix_error _ -> false)
 
-let create ?(engine_config = Engine.default_config) ?journal ?journal_path
-    ?(shards = 1) ?(read_deadline_s = 10.0) ?(drain_grace_s = 10.0)
-    ?(log = ignore) ~socket_path () =
+let create ?(engine_config = Engine.default_config) ?journal_path ?(shards = 1)
+    ?(read_deadline_s = 10.0) ?(drain_grace_s = 10.0) ?(log = ignore)
+    ~socket_path () =
   (if Sys.file_exists socket_path then
      if socket_live socket_path then
        raise (Errors.Serve_socket_busy { sb_path = socket_path })
@@ -92,9 +93,7 @@ let create ?(engine_config = Engine.default_config) ?journal ?journal_path
             socket_path);
        try Unix.unlink socket_path with Unix.Unix_error _ -> ()
      end);
-  let group =
-    Shard.create ~engine_config ?journal ?journal_path ~count:shards ()
-  in
+  let group = Shard.create ~engine_config ?journal_path ~count:shards () in
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX socket_path);
   Unix.listen listen_fd 64;

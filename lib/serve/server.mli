@@ -5,9 +5,8 @@
     tenant hashes to a shard, the request travels through that shard's
     inbox, and the reply returns through the group outbox tagged with
     its connection token. With [shards = 1] (the default) no worker
-    domains exist and the router drives the single engine inline — the
-    original single-threaded daemon exactly. With [shards > 1] socket
-    I/O overlaps shard execution.
+    domains exist and the router drives the single engine inline. With
+    [shards > 1] socket I/O overlaps shard execution.
 
     Lifecycle hardening: startup probes (rather than clobbers) an
     existing socket file; {!stop} triggers a graceful drain; peers that
@@ -18,7 +17,6 @@ type t
 
 val create :
   ?engine_config:Engine.config ->
-  ?journal:Journal.t ->
   ?journal_path:string ->
   ?shards:int ->
   ?read_deadline_s:float ->
@@ -33,9 +31,7 @@ val create :
     is reclaimed. [shards] (default 1) sets the worker-domain count;
     [journal_path] makes each shard replay, re-create and recover its
     own journal segment before serving ({!Journal.segment_path} — the
-    base path itself when [shards = 1]). [journal] hands a pre-built
-    journal to a single-shard daemon (the legacy path; raises
-    [Invalid_argument] with [shards > 1]). [read_deadline_s] (default
+    base path itself when [shards = 1]). [read_deadline_s] (default
     10) bounds how long a peer may hold a frame open (slow-loris);
     [drain_grace_s] (default 10) bounds the graceful drain. *)
 

@@ -25,8 +25,9 @@
      layer: the router keeps reading and writing sockets while shards
      compute;
    - with N = 1 no domain is spawned and the router drives the engine
-     inline ([step_inline]), preserving the original single-threaded
-     daemon byte for byte.
+     inline ([step_inline]); a worker domain there measured no resolved
+     throughput gain on serve-cold and 2 MB more peak RSS (DESIGN.md
+     §16).
 
    Shutdown: close every inbox, join the worker domains (the join is
    the happens-before edge that hands each engine back to the router's
@@ -80,19 +81,14 @@ let tenant_shard ~shards name =
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 
-let create ?(engine_config = Engine.default_config) ?journal ?journal_path
+let create ?(engine_config = Engine.default_config) ?journal_path
     ?(count = 1) () =
   if count < 1 || count > 64 then
     invalid_arg "Shard.create: count must be in [1, 64]";
-  if journal <> None && count > 1 then
-    invalid_arg
-      "Shard.create: a shared journal handle only works single-shard; pass \
-       journal_path for per-shard segments";
   let mk i =
     let journal, replayed =
-      match (journal, journal_path) with
-      | Some j, _ -> (Some j, None)
-      | None, Some base ->
+      match journal_path with
+      | Some base ->
         let seg = Journal.segment_path base ~shards:count i in
         let replayed = Journal.replay ~path:seg in
         let j =
@@ -101,7 +97,7 @@ let create ?(engine_config = Engine.default_config) ?journal ?journal_path
             ()
         in
         (Some j, replayed)
-      | None, None -> (None, None)
+      | None -> (None, None)
     in
     let engine = Engine.create ~config:engine_config ?journal () in
     Option.iter

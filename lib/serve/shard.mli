@@ -9,8 +9,9 @@
     one owning domain; the router communicates with shards only through
     per-shard inboxes and one shared reply outbox (whose self-pipe wakes
     the router's [select]). With [count = 1] no domains are spawned and
-    the router drives the single engine inline, reproducing the original
-    single-threaded daemon exactly. *)
+    the router drives the single engine inline: measured on serve-cold,
+    that saves the worker domain's 2 MB of peak RSS, while the worker's
+    throughput edge stayed within run-to-run spread (DESIGN.md §16). *)
 
 type group
 
@@ -23,16 +24,14 @@ val tenant_shard : shards:int -> string -> int
 
 val create :
   ?engine_config:Engine.config ->
-  ?journal:Journal.t ->
   ?journal_path:string ->
   ?count:int ->
   unit ->
   group
 (** Build [count] (default 1, max 64) engines. With [journal_path],
     each shard replays, re-creates and recovers its own journal segment
-    ({!Journal.segment_path}) before serving. [journal] hands a
-    pre-built journal to a single-shard group (the legacy path);
-    combining it with [count > 1] raises [Invalid_argument]. *)
+    ({!Journal.segment_path}) before serving; without it no shard
+    journals. *)
 
 val start : group -> unit
 (** Spawn one worker domain per shard. No-op when [count = 1] (the

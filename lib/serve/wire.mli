@@ -60,7 +60,6 @@ type request = {
 type status = Ok | Overloaded | Deadline_exceeded | Circuit_open | Error
 
 val status_name : status -> string
-val status_of_name : string -> status
 
 type reply = {
   rp_id : int;

@@ -117,7 +117,6 @@ val render_circuit_open : tenant:string -> failures:int -> string
 val render_socket_busy : path:string -> string
 val render_request_timeout : socket:string -> timeout_ms:int -> string
 
-val render_unit : unit_snapshot -> string
 val render_device_fault : device_fault -> string
 
 val render_violation : violation -> string

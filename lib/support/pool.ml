@@ -1,20 +1,13 @@
-(* Persistent domain pools for data-parallel batches.
+(* The process-wide domain pool for data-parallel batches.
 
    OCaml domains are heavyweight (each one owns a minor heap and a slot
-   in the runtime's fixed-size domain table), so a pool spawns workers
+   in the runtime's fixed-size domain table), so the pool spawns workers
    once and keeps them forever: callers that repeatedly run small
    batches — one per simulated kernel launch — pay only a mutex
    round-trip per batch, not a domain spawn. Workers sleep on a
    condition variable between batches.
 
-   Pools are instances with an explicit worker cap, so independent
-   subsystems (the parallel engine's kernel pool, the serve daemon's
-   shards) each size their own pool instead of fighting over one
-   process-wide pool whose size was fixed by whoever ran first. The
-   historical process-global API ([run]/[size]) survives as a default
-   instance.
-
-   A pool runs one batch at a time. [run_in t ~jobs n f] publishes the
+   The pool runs one batch at a time. [run ~jobs n f] publishes the
    batch under the pool mutex, wakes the workers, and then participates
    itself, so a batch of [n] tasks is executed by up to
    [min jobs n] domains (the caller plus [jobs - 1] workers). Tasks are
@@ -48,17 +41,17 @@ type batch = {
 }
 
 type t = {
-  cap : int;  (* workers this pool may ever spawn *)
   lock : Mutex.t;
   work_available : Condition.t;
   batch_finished : Condition.t;
   mutable current : batch option;
-  mutable workers : int;  (* workers spawned so far (lazily, <= cap) *)
+  mutable workers : int;  (* workers spawned so far (lazily, < max_jobs) *)
 }
 
-let create ?(workers = max_jobs - 1) () =
+(* Workers are spawned by the first batch that needs them, so a process
+   that never runs a parallel batch spawns none. *)
+let pool =
   {
-    cap = max 0 (min workers (max_jobs - 1));
     lock = Mutex.create ();
     work_available = Condition.create ();
     batch_finished = Condition.create ();
@@ -96,33 +89,33 @@ let rec worker_loop t =
   Mutex.unlock t.lock;
   worker_loop t
 
-(* Called with [t.lock] held. *)
+(* Called with [t.lock] held; [k < max_jobs]. *)
 let ensure_workers t k =
-  let k = min k t.cap in
   while t.workers < k do
     ignore (Domain.spawn (fun () -> worker_loop t));
     t.workers <- t.workers + 1
   done
 
-let size_of t =
-  Mutex.lock t.lock;
-  let n = t.workers + 1 in
-  Mutex.unlock t.lock;
+let size () =
+  Mutex.lock pool.lock;
+  let n = pool.workers + 1 in
+  Mutex.unlock pool.lock;
   n
 
-let run_in t ~jobs n task =
+let run ~jobs n task =
   if n <= 0 then ()
   else if jobs <= 1 || n = 1 then
     for i = 0 to n - 1 do
       task i
     done
   else begin
+    let t = pool in
     let jobs = min jobs max_jobs in
     Mutex.lock t.lock;
     ensure_workers t (jobs - 1);
-    (* One batch at a time: each pool's owner is single-threaded outside
-       the pool, so a nested or concurrent batch on the SAME pool
-       indicates a bug (distinct pools may overlap freely). *)
+    (* One batch at a time: the parallel engine's owner is
+       single-threaded outside the pool, so a nested or concurrent batch
+       indicates a bug. *)
     assert (t.current = None);
     let b = { task; n; next = 0; unfinished = n; failure = None } in
     t.current <- Some b;
@@ -135,10 +128,3 @@ let run_in t ~jobs n task =
     Mutex.unlock t.lock;
     match b.failure with Some e -> raise e | None -> ()
   end
-
-(* The process-global default instance behind the historical API: sized
-   lazily by the first batch that needs workers, exactly as before. *)
-let default = lazy (create ())
-
-let run ~jobs n task = run_in (Lazy.force default) ~jobs n task
-let size () = size_of (Lazy.force default)

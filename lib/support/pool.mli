@@ -1,13 +1,11 @@
-(** Persistent domain pools for data-parallel batches.
+(** The process-wide domain pool for data-parallel batches, used by the
+    parallel kernel engine.
 
-    A pool's worker domains are spawned lazily (on the first batch that
-    needs them, up to the pool's explicit cap) and reused for every
-    subsequent batch, so repeated small batches pay a mutex round-trip
-    rather than a domain spawn. One batch runs at a time per pool; the
-    caller participates in its own batch. Independent subsystems should
-    each {!create} their own pool so none is sized by whoever ran
-    first; the process-global {!run}/{!size} API remains as a default
-    instance. *)
+    There is one pool and no instances. Its worker domains are spawned
+    lazily (on the first batch that needs them, up to [max_jobs - 1])
+    and reused for every later batch, so repeated small batches pay a
+    mutex round-trip rather than a domain spawn. One batch runs at a
+    time; the caller participates in its own batch. *)
 
 val max_jobs : int
 (** Upper bound on [jobs]; keeps well inside the OCaml runtime's
@@ -22,34 +20,18 @@ val parse_jobs : string -> int option
 (** Parse a positive job count (clamped to [max_jobs]); [None] on
     anything else. *)
 
-type t
-(** A pool instance: its own workers, its own one-batch-at-a-time
-    discipline. Distinct pools may run batches concurrently. *)
-
-val create : ?workers:int -> unit -> t
-(** A pool that may spawn up to [workers] worker domains (default
-    [max_jobs - 1]; clamped to that). Workers are spawned lazily by
-    {!run_in} and kept for the life of the process. *)
-
-val run_in : t -> jobs:int -> int -> (int -> unit) -> unit
-(** [run_in t ~jobs n task] executes [task 0 .. task (n-1)] across up to
-    [min jobs n] domains (the caller plus at most [jobs - 1] of [t]'s
-    workers) and returns once every task has finished. With [jobs <= 1]
-    or [n = 1] the tasks run sequentially in the caller, touching no
-    pool state.
+val run : jobs:int -> int -> (int -> unit) -> unit
+(** [run ~jobs n task] executes [task 0 .. task (n-1)] across up to
+    [min jobs n] domains (the caller plus at most [jobs - 1] workers)
+    and returns once every task has finished. With [jobs <= 1] or
+    [n = 1] the tasks run sequentially in the caller, touching no pool
+    state.
 
     The mutex hand-shake that ends the batch orders all task writes
     before the return, so the caller may read anything tasks wrote
     without further synchronization. If tasks raise, the remaining tasks
     still run and the first exception (in claim order) is re-raised. *)
 
-val size_of : t -> int
+val size : unit -> int
 (** Number of domains the pool can bring to bear right now: spawned
     workers plus the caller. *)
-
-val run : jobs:int -> int -> (int -> unit) -> unit
-(** {!run_in} on the process-global default pool (the historical API,
-    used by the parallel kernel engine). *)
-
-val size : unit -> int
-(** {!size_of} the process-global default pool. *)

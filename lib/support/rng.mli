@@ -7,7 +7,6 @@
 type t
 
 val create : int -> t
-val next_int64 : t -> int64
 
 val int : t -> int -> int
 (** Uniform in [\[0, bound)]; raises on non-positive bounds. *)

@@ -9,7 +9,7 @@
 module Counter = struct
   type t = int Atomic.t
 
-  let create ?(value = 0) () = Atomic.make value
+  let create () = Atomic.make 0
   let incr t = ignore (Atomic.fetch_and_add t 1)
   let add t n = ignore (Atomic.fetch_and_add t n)
   let get t = Atomic.get t
@@ -32,8 +32,6 @@ let geomean = function
         0.0 xs
     in
     exp (logsum /. float_of_int (List.length xs))
-
-let clamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
 
 let sum = List.fold_left ( +. ) 0.0
 

@@ -9,7 +9,7 @@
 module Counter : sig
   type t
 
-  val create : ?value:int -> unit -> t
+  val create : unit -> t
   val incr : t -> unit
   val add : t -> int -> unit
   val get : t -> int
@@ -21,7 +21,6 @@ val mean : float list -> float
 val geomean : float list -> float
 (** Geometric mean; raises [Invalid_argument] on non-positive inputs. *)
 
-val clamp : lo:float -> hi:float -> float -> float
 val sum : float list -> float
 
 val percent : float -> float -> float

@@ -14,10 +14,6 @@
 
 exception Unmanageable of string
 
-val register_escaping_allocas : Cgcm_ir.Ir.func -> unit
-(** Mark allocas whose address escapes so the interpreter registers them
-    with the run-time (declareAlloca). *)
-
 val manage_launch :
   Cgcm_ir.Ir.func ->
   Cgcm_analysis.Typeinfer.kernel_types ->

@@ -10,8 +10,6 @@
     defining instructions on the CPU, and a load may stay behind only if
     no moved store can alias it. *)
 
-val default_max_insts : int
-
 val step : Cgcm_analysis.Manager.t -> bool
-(** Outline to convergence (at [default_max_insts]); [true] iff
-    anything was outlined. *)
+(** Outline to convergence (regions of at most 40 instructions); [true]
+    iff anything was outlined. *)

@@ -1,7 +1,7 @@
 (* Pass framework: passes get their analyses from the analysis manager,
    are composed into plans with fixpoint iteration, and run under
-   instrumentation hooks (per-pass timing, IR deltas, optional snapshot
-   diffing, configurable verification). *)
+   instrumentation hooks (per-pass timing, IR deltas), with the module
+   verified after every pass execution. *)
 
 module Ir = Cgcm_ir.Ir
 module Manager = Cgcm_analysis.Manager
@@ -198,8 +198,6 @@ let count (m : Ir.modul) =
 (* ------------------------------------------------------------------ *)
 (* Instrumented execution *)
 
-type verify_policy = Always | On_change | Final
-
 type pass_stat = {
   ps_pass : string;
   ps_wall_ms : float;
@@ -210,43 +208,29 @@ type pass_stat = {
   ps_launches_after : int;
   ps_rtcalls_before : int;
   ps_rtcalls_after : int;
-  ps_ir_changed : bool option;
 }
 
 type hooks = {
   on_stat : pass_stat -> unit;
   after_pass : string -> Ir.modul -> unit;
-  snapshot : bool;
 }
 
-let default_hooks =
-  { on_stat = ignore; after_pass = (fun _ _ -> ()); snapshot = false }
+let default_hooks = { on_stat = ignore; after_pass = (fun _ _ -> ()) }
 
 (* Each pass execution counts the module once, after the pass: the
    counts before it are the previous execution's after-counts, since
    nothing else edits the module in between. *)
-let run_plan ?(hooks = default_hooks) ?(verify = Always) (mgr : Manager.t)
-    (plan : plan) =
+let run_plan ?(hooks = default_hooks) (mgr : Manager.t) (plan : plan) =
   let m = Manager.modul mgr in
   let last = ref (count m) in
   let exec_atom p =
-    let before =
-      if hooks.snapshot then Some (Cgcm_ir.Printer.modul_to_string m)
-      else None
-    in
     let cb = !last in
     (* A wall clock: CPU time would also charge this pass for work other
        domains or threads of the process do meanwhile. *)
     let t0 = Unix.gettimeofday () in
     let changed = p.step mgr in
     let dt = (Unix.gettimeofday () -. t0) *. 1000.0 in
-    (match verify with
-    | Always -> Cgcm_ir.Verifier.verify_modul m
-    | On_change -> if changed then Cgcm_ir.Verifier.verify_modul m
-    | Final -> ());
-    let ir_changed =
-      Option.map (fun s -> s <> Cgcm_ir.Printer.modul_to_string m) before
-    in
+    Cgcm_ir.Verifier.verify_modul m;
     let ca = count m in
     last := ca;
     hooks.on_stat
@@ -260,7 +244,6 @@ let run_plan ?(hooks = default_hooks) ?(verify = Always) (mgr : Manager.t)
         ps_launches_after = ca.launches;
         ps_rtcalls_before = cb.rtcalls;
         ps_rtcalls_after = ca.rtcalls;
-        ps_ir_changed = ir_changed;
       };
     hooks.after_pass p.name m;
     Log.debug (fun k ->
@@ -288,8 +271,7 @@ let run_plan ?(hooks = default_hooks) ?(verify = Always) (mgr : Manager.t)
       done;
       !any
   in
-  List.iter (fun item -> ignore (exec_item item)) plan;
-  if verify = Final then Cgcm_ir.Verifier.verify_modul m
+  List.iter (fun item -> ignore (exec_item item)) plan
 
 let run_pipeline (plan : plan) (m : Ir.modul) =
   run_plan (Manager.create m) plan

@@ -32,8 +32,6 @@ type plan_item = Atom of t | Fixpoint of { max_iter : int; body : plan }
 
 and plan = plan_item list
 
-val default_fixpoint_iters : int
-
 val fixpoint : ?max_iter:int -> plan -> plan_item
 (** The convergence combinator that subsumes the hand-rolled loops the
     promotion passes used to carry. *)
@@ -61,11 +59,6 @@ val plan_to_string : plan -> string
 
 (** {1 Instrumented execution} *)
 
-(** When to run {!Cgcm_ir.Verifier.verify_modul}: after every pass
-    execution (the historical behaviour), only after one that changed
-    the IR, or once when the whole plan finishes. *)
-type verify_policy = Always | On_change | Final
-
 type pass_stat = {
   ps_pass : string;
   ps_wall_ms : float;
@@ -78,8 +71,6 @@ type pass_stat = {
   ps_launches_after : int;
   ps_rtcalls_before : int;
   ps_rtcalls_after : int;  (** management-intrinsic call count *)
-  ps_ir_changed : bool option;
-      (** printed-IR diff verdict; [Some _] only under [snapshot] hooks *)
 }
 
 type hooks = {
@@ -88,20 +79,17 @@ type hooks = {
       (** called after every pass execution (for [--dump-ir after:p]);
           must not edit the module, whose counts carry over as the next
           execution's before-counts *)
-  snapshot : bool;
-      (** print the module before/after each pass and diff the text *)
 }
 
 val default_hooks : hooks
 
-val run_plan :
-  ?hooks:hooks -> ?verify:verify_policy -> Manager.t -> plan -> unit
-(** Execute [plan] over the manager's module. The module is counted once
-    up front and once after each pass execution. *)
+val run_plan : ?hooks:hooks -> Manager.t -> plan -> unit
+(** Execute [plan] over the manager's module, running
+    {!Cgcm_ir.Verifier.verify_modul} after every pass execution. The
+    module is counted once up front and once after each pass execution. *)
 
 val run_pipeline : plan -> Cgcm_ir.Ir.modul -> unit
-(** Convenience: run over a new manager with default hooks and the
-    [Always] verify policy. *)
+(** Convenience: run over a new manager with default hooks. *)
 
 (** {1 Module metrics} *)
 

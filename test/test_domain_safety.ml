@@ -44,21 +44,18 @@ let test_concurrent_compile () =
 (* Lint: module-level mutable state in lib/                            *)
 
 (* Each survivor says why it cannot race. *)
-let allowlist =
-  [
-    ( "serve/chaos.ml:reference_tbl",
-      "memoizes the oracle in the chaos driver, the fork parent; it never \
-       runs on a daemon's worker domain" );
-  ]
+let allowlist : (string * string) list = []
 
-let rec ml_files dir =
+let rec files_with_suffix suffix dir =
   Array.fold_left
     (fun acc name ->
       let path = Filename.concat dir name in
-      if Sys.is_directory path then acc @ ml_files path
-      else if Filename.check_suffix name ".ml" then acc @ [ path ]
+      if Sys.is_directory path then acc @ files_with_suffix suffix path
+      else if Filename.check_suffix name suffix then acc @ [ path ]
       else acc)
     [] (Sys.readdir dir)
+
+let ml_files = files_with_suffix ".ml"
 
 (* A top-level binding whose right-hand side allocates a [ref], a
    [Hashtbl.create] table or an [Array.make] array, in the structure or
@@ -131,6 +128,116 @@ let test_lint_catches () =
         let c = Array.make 4 0\n\
         let d = Atomic.make 0")
 
+(* ------------------------------------------------------------------ *)
+(* Lint: every [val] in lib/ has a caller outside its own module        *)
+
+(* Each survivor says why it stays exported without a caller. *)
+let export_allowlist : (string * string) list = []
+
+(* The [val] names an interface declares, nested signatures included. *)
+let interface_vals source =
+  let open Parsetree in
+  let rec signature items = List.concat_map item items
+  and item i =
+    match i.psig_desc with
+    | Psig_value vd -> [ vd.pval_name.txt ]
+    | Psig_module { pmd_type; _ } -> modtype pmd_type
+    | Psig_recmodule mds -> List.concat_map (fun md -> modtype md.pmd_type) mds
+    | _ -> []
+  and modtype m =
+    match m.pmty_desc with Pmty_signature s -> signature s | _ -> []
+  in
+  signature (Parse.interface (Lexing.from_string source))
+
+(* The identifier words of a source text. *)
+let words source =
+  let seen = Hashtbl.create 1024 in
+  let word c =
+    match c with
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
+    | _ -> false
+  in
+  let n = String.length source in
+  let i = ref 0 in
+  while !i < n do
+    if word source.[!i] then begin
+      let j = ref !i in
+      while !j < n && word source.[!j] do
+        incr j
+      done;
+      Hashtbl.replace seen (String.sub source !i (!j - !i)) ();
+      i := !j
+    end
+    else incr i
+  done;
+  seen
+
+(* [dead_exports interfaces implementations]: every ["path.mli:name"]
+   whose name appears as a word in no implementation but the
+   interface's own [path.ml]. *)
+let dead_exports interfaces implementations =
+  let impls =
+    List.map (fun (path, source) -> (path, words source)) implementations
+  in
+  List.concat_map
+    (fun (mli, source) ->
+      let own = Filename.chop_suffix mli ".mli" ^ ".ml" in
+      List.filter_map
+        (fun v ->
+          if
+            List.exists
+              (fun (path, ws) -> path <> own && Hashtbl.mem ws v)
+              impls
+          then None
+          else Some (mli ^ ":" ^ v))
+        (interface_vals source))
+    interfaces
+
+let read_file path =
+  let ic = open_in_bin path in
+  let source = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  source
+
+(* This file names the allowlisted exports, so it is no caller. *)
+let test_no_dead_exports () =
+  let root = Filename.dirname (lib_dir ()) in
+  let prefix = String.length root + 1 in
+  let load suffix dirs =
+    List.concat_map
+      (fun d ->
+        List.filter_map
+          (fun path ->
+            let rel = String.sub path prefix (String.length path - prefix) in
+            if rel = "test/test_domain_safety.ml" then None
+            else Some (rel, read_file path))
+          (files_with_suffix suffix (Filename.concat root d)))
+      dirs
+  in
+  let found =
+    dead_exports (load ".mli" [ "lib" ])
+      (load ".ml" [ "lib"; "bin"; "bench"; "test"; "ledger" ])
+  in
+  check Alcotest.(list string) "every export has a caller or is allowlisted"
+    (List.sort compare (List.map fst export_allowlist))
+    (List.sort compare found)
+
+let test_export_lint_catches () =
+  check Alcotest.(list string) "unused and self-only exports are caught"
+    [ "a.mli:dead"; "a.mli:self_only" ]
+    (dead_exports
+       [
+         ( "a.mli",
+           "val used : int\n\
+            val dead : int\n\
+            val self_only : int\n\
+            module M : sig val inner : int end" );
+       ]
+       [
+         ("a.ml", "let used = 1 let dead = 2 let self_only = 3 let inner = 4");
+         ("b.ml", "let x = A.used + A.M.inner (* deadline *)");
+       ])
+
 let tests =
   [
     Alcotest.test_case "two domains compile the suite identically" `Slow
@@ -139,4 +246,8 @@ let tests =
       `Quick test_no_module_state;
     Alcotest.test_case "lint: finds refs, tables and arrays" `Quick
       test_lint_catches;
+    Alcotest.test_case "lint: every export in lib/ has an outside caller"
+      `Quick test_no_dead_exports;
+    Alcotest.test_case "lint: finds exports without an outside caller" `Quick
+      test_export_lint_catches;
   ]

@@ -109,12 +109,12 @@ let test_dirty_monotone () =
   List.iter
     (fun pname ->
       let src = (List.assoc pname small_programs : string) in
-      let _, on =
-        Pipeline.run ~dirty_spans:true Pipeline.Cgcm_optimized src
+      let c = Pipeline.compile_for Pipeline.Cgcm_optimized src in
+      let run dirty_spans =
+        let config = Pipeline.config Pipeline.Cgcm_optimized in
+        Interp.run ~config:{ config with Interp.dirty_spans } c.Pipeline.modul
       in
-      let _, off =
-        Pipeline.run ~dirty_spans:false Pipeline.Cgcm_optimized src
-      in
+      let on = run true and off = run false in
       check Alcotest.string (pname ^ " output") on.Interp.output
         off.Interp.output;
       let bytes (r : Interp.result) =

@@ -156,7 +156,6 @@ let test_pass_stats_recount () =
           let last = ref None in
           let hooks =
             {
-              Pass.default_hooks with
               Pass.on_stat = (fun s -> last := Some s);
               after_pass =
                 (fun pass m ->

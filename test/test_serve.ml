@@ -393,7 +393,6 @@ let test_circuit_breaker_lifecycle () =
       Engine.default_config with
       max_retries = 0;
       circuit_threshold = 3;
-      circuit_probation = 2;
     }
   in
   let eng = Engine.create ~config () in
@@ -451,7 +450,7 @@ let test_cross_tenant_eviction_write_back () =
   let res = Residency.create ~device_mem:2048 () in
   let dev = Residency.device res in
   check Alcotest.bool "alice warms" true
-    (Residency.warm res ~tenant:"alice" ~key:"k" ~globals:[ ("g", 1024) ] ());
+    (Residency.warm res ~tenant:"alice" ~key:"k" ~globals:[ ("g", 1024) ]);
   check Alcotest.int "alice resident" 1024 (Residency.warm_bytes res);
   let alice = Option.get (Residency.find res ~tenant:"alice" ~key:"k") in
   let _, base, size =
@@ -473,7 +472,7 @@ let test_cross_tenant_eviction_write_back () =
   (* bob's warmth cannot fit beside alice's: 1024 + 1536 > 2048, so
      warming bob must evict alice's unit across tenants *)
   check Alcotest.bool "bob warms under pressure" true
-    (Residency.warm res ~tenant:"bob" ~key:"k" ~globals:[ ("h", 1536) ] ());
+    (Residency.warm res ~tenant:"bob" ~key:"k" ~globals:[ ("h", 1536) ]);
   check Alcotest.bool "a cross-tenant eviction happened" true
     (Residency.cross_evictions res >= 1);
   check Alcotest.int "alice no longer resident" 0
@@ -486,7 +485,7 @@ let test_cross_tenant_eviction_write_back () =
   (* re-warming alice refills the device from the written-back bytes
      (and in turn pressures bob out) *)
   check Alcotest.bool "alice re-warms" true
-    (Residency.warm res ~tenant:"alice" ~key:"k" ~globals:[ ("g", 1024) ] ());
+    (Residency.warm res ~tenant:"alice" ~key:"k" ~globals:[ ("g", 1024) ]);
   let alice = Option.get (Residency.find res ~tenant:"alice" ~key:"k") in
   let _, base, size = List.hd (Residency.entry_units alice) in
   let rt = Residency.entry_runtime alice in
@@ -521,7 +520,7 @@ let warm_many n =
   List.iter
     (fun (tenant, key) ->
       check Alcotest.bool "warms" true
-        (Residency.warm res ~tenant ~key ~globals:[ ("g", 64); ("h", 24) ] ()))
+        (Residency.warm res ~tenant ~key ~globals:[ ("g", 64); ("h", 24) ]))
     keys;
   (res, keys)
 
@@ -646,7 +645,6 @@ let test_soak () =
       max_retries = 3;
       backoff_ms = 0.0;
       circuit_threshold = 3;
-      circuit_probation = 2;
       faults = Some (Cgcm_gpusim.Faults.parse "13:htod%0.05,launch%0.05,alloc%0.03");
     }
   in

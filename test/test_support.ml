@@ -163,7 +163,8 @@ let test_rng_range () =
    taking bulk adds) must lose no updates. *)
 let test_counter_hammer () =
   let c = Cgcm_support.Stats.Counter.create () in
-  let bulk = Cgcm_support.Stats.Counter.create ~value:5 () in
+  let bulk = Cgcm_support.Stats.Counter.create () in
+  Cgcm_support.Stats.Counter.set bulk 5;
   let domains =
     List.init 4 (fun _ ->
         Domain.spawn (fun () ->
@@ -210,37 +211,6 @@ let test_pool_failure () =
   Cgcm_support.Pool.run ~jobs:4 8 (fun _ -> Atomic.incr ok);
   check Alcotest.int "pool reusable after failure" 8 (Atomic.get ok)
 
-(* Instance pools: worker counts are explicit per pool, two pools
-   coexist without sharing workers, and a zero-worker pool degrades to
-   sequential execution on the caller. *)
-let test_pool_instances () =
-  let small = Cgcm_support.Pool.create ~workers:1 () in
-  let big = Cgcm_support.Pool.create ~workers:3 () in
-  let n = 64 in
-  let a = Array.make n 0 and b = Array.make n 0 in
-  Cgcm_support.Pool.run_in small ~jobs:2 n (fun i -> a.(i) <- i + 1);
-  Cgcm_support.Pool.run_in big ~jobs:4 n (fun i -> b.(i) <- i * 2);
-  Array.iteri
-    (fun i v -> check Alcotest.int (Printf.sprintf "small task %d" i) (i + 1) v)
-    a;
-  Array.iteri
-    (fun i v -> check Alcotest.int (Printf.sprintf "big task %d" i) (i * 2) v)
-    b;
-  (* caps are per instance: the small pool never grows past its cap + the
-     participating caller, the big pool kept what it spawned *)
-  check Alcotest.bool "small pool capped" true
-    (Cgcm_support.Pool.size_of small <= 2);
-  check Alcotest.bool "big pool retained workers" true
-    (Cgcm_support.Pool.size_of big >= 2);
-  let seq = Cgcm_support.Pool.create ~workers:0 () in
-  let hits = Array.make n 0 in
-  Cgcm_support.Pool.run_in seq ~jobs:8 n (fun i -> hits.(i) <- hits.(i) + 1);
-  Array.iteri
-    (fun i h -> check Alcotest.int (Printf.sprintf "seq-pool task %d" i) 1 h)
-    hits;
-  check Alcotest.int "zero-worker pool is just the caller" 1
-    (Cgcm_support.Pool.size_of seq)
-
 let test_pool_jobs_parse () =
   check Alcotest.(option int) "parse 4" (Some 4)
     (Cgcm_support.Pool.parse_jobs "4");
@@ -271,7 +241,5 @@ let tests =
     Alcotest.test_case "counter 4-domain hammer" `Quick test_counter_hammer;
     Alcotest.test_case "pool runs every task" `Quick test_pool_run;
     Alcotest.test_case "pool re-raises failures" `Quick test_pool_failure;
-    Alcotest.test_case "pool instances are independent" `Quick
-      test_pool_instances;
     Alcotest.test_case "pool jobs parsing" `Quick test_pool_jobs_parse;
   ]
