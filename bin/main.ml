@@ -732,7 +732,8 @@ let serve_cmd =
   in
   let backoff_arg =
     Arg.(
-      value & opt float 1.0
+      value
+      & opt float Cgcm_serve.Engine.default_config.Cgcm_serve.Engine.backoff_ms
       & info [ "backoff-ms" ] ~docv:"MS"
           ~doc:"Base backoff between retry attempts; doubles per attempt")
   in

@@ -14,9 +14,6 @@ type obj =
   | Obj_heap of int  (** register holding a malloc/calloc/realloc result *)
   | Obj_unknown
 
-val def_map : Cgcm_ir.Ir.func -> Cgcm_ir.Ir.instr option array
-(** Defining instruction per register (registers are single-assignment). *)
-
 type t = {
   defs : Cgcm_ir.Ir.instr option array;
   slots : (int, bool) Hashtbl.t;

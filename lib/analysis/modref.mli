@@ -12,9 +12,6 @@ type summary = {
           may touch anything a pointer could reach *)
 }
 
-val empty : summary
-val union : summary -> summary -> summary
-
 type t = (string, summary) Hashtbl.t
 
 val compute : Cgcm_ir.Ir.modul -> t

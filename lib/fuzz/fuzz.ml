@@ -532,6 +532,20 @@ let check_plans ~rounds ~seed (src : string) : failure option =
       in
       List.find_map check_one (plan_configs ~rounds ~seed)
 
+(* Differential check: sequential reference vs unoptimized/optimized x
+   closures/tree-walk/parallel (sanitizer armed), the unified oracle
+   and the inspector-executor baseline. The parallel engine runs with
+   [jobs] domains (default 4 — the auto count would be 1 on a
+   single-core host, never sharding) and a floor-level trip threshold
+   so small generated loops still shard.
+
+   Additionally compiles the program under [plan_rounds] (default 1;
+   0 disables) rounds of fuzzed pass plans derived deterministically
+   from the program seed: a schedule-ordered subset of the optimized
+   pipeline containing comm-mgmt (run under split memory with the
+   sanitizer armed) and an arbitrary permutation of an arbitrary pass
+   subset (run in unified memory, where management is unnecessary for
+   correctness). [None] = all agree, leak-free, sanitize-clean. *)
 let check ?jobs ?(plan_rounds = 1) (p : prog) : failure option =
   let src = render p in
   match check_source ?jobs src with
@@ -579,6 +593,8 @@ let rec set_nth n v = function
   | _ :: tl when n = 0 -> v :: tl
   | hd :: tl -> hd :: set_nth (n - 1) v tl
 
+(* Shrink candidates, most aggressive first (drop a phase, drop a
+   unit, halve a size, simplify a phase). *)
 let candidates (p : prog) : prog list =
   let drop_phases =
     List.mapi (fun i _ -> { p with phases = drop_nth i p.phases }) p.phases

@@ -58,32 +58,12 @@ type failure = {
   f_detail : string;
 }
 
-val check : ?jobs:int -> ?plan_rounds:int -> prog -> failure option
-(** Differential check: sequential reference vs unoptimized/optimized x
-    closures/tree-walk/parallel (sanitizer armed), the unified oracle
-    and the inspector-executor baseline. The parallel engine runs with
-    [jobs] domains (default 4 — the auto count would be 1 on a
-    single-core host, never sharding) and a floor-level trip threshold
-    so small generated loops still shard.
-
-    Additionally compiles the program under [plan_rounds] (default 1;
-    0 disables) rounds of fuzzed pass plans derived deterministically
-    from the program seed: a schedule-ordered subset of the optimized
-    pipeline containing comm-mgmt (run under split memory with the
-    sanitizer armed) and an arbitrary permutation of an arbitrary pass
-    subset (run in unified memory, where management is unnecessary for
-    correctness). [None] = all agree, leak-free, sanitize-clean. *)
-
 val check_source : ?jobs:int -> string -> failure option
 (** The fixed-configuration part of the check on raw CGC source (used
     by the regression tests; no pass-plan fuzzing, which needs a seed). *)
 
 val check_plans : rounds:int -> seed:int -> string -> failure option
 (** Just the pass-plan part of the check on raw CGC source. *)
-
-val candidates : prog -> prog list
-(** Shrink candidates, most aggressive first (drop a phase, drop a
-    unit, halve a size, simplify a phase). *)
 
 val shrink :
   ?budget:int ->

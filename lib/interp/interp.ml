@@ -59,6 +59,15 @@ exception Exec_error of string
 
 let error fmt = Fmt.kstr (fun s -> raise (Exec_error s)) fmt
 
+(* Fuel exhaustion is spelled once: [out_of_fuel] raises it, and
+   [is_out_of_fuel] is how a caller (the serve engine's deadlines) tells
+   it from other execution errors. *)
+let fuel_message = "instruction budget exhausted (infinite loop?)"
+
+let out_of_fuel () = raise (Exec_error fuel_message)
+
+let is_out_of_fuel = function Exec_error m -> m = fuel_message | _ -> false
+
 (* - [Inspector_executor] models the idealized baseline of Section 6.3:
      an oracle scheduler, exactly one byte transferred per accessed
      allocation unit, a sequential inspection pass before every launch,
@@ -353,7 +362,7 @@ let timed mc f =
 
 let tick mc =
   mc.fuel <- mc.fuel - 1;
-  if mc.fuel <= 0 then error "instruction budget exhausted (infinite loop?)";
+  if mc.fuel <= 0 then out_of_fuel ();
   if mc.profile_on then begin
     match Hashtbl.find_opt mc.profile_counts mc.cur_fn with
     | Some r -> incr r
@@ -374,7 +383,7 @@ let tick mc =
    covers all [n]. *)
 let seg_tick mc n =
   mc.fuel <- mc.fuel - n;
-  if mc.fuel <= 0 then error "instruction budget exhausted (infinite loop?)";
+  if mc.fuel <= 0 then out_of_fuel ();
   if mc.profile_on then begin
     match Hashtbl.find_opt mc.profile_counts mc.cur_fn with
     | Some r -> r := !r + n
@@ -915,63 +924,18 @@ let track_store_h mc tbl base =
 external get_i : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set_i : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-(* Handle access, compiled into this unit: under dune's default (dev)
-   profile every library builds with -opaque, so a call into Memspace is
-   never inlined and passes an int64 or float boxed. A handle is valid
-   for an access when it is live, belongs to [sp], and [addr, addr+len)
-   sits inside it: one combined test in place of the tree lookup and the
-   span check. *)
-let[@inline] h_valid (h : Memspace.handle) (sp : Memspace.t) addr len =
-  h.Memspace.space_id = sp.Memspace.id
-  && (not h.Memspace.freed)
-  && addr >= h.Memspace.base
-  && addr + len <= h.Memspace.base + h.Memspace.size
-
 (* A load/store site's handle cache ([c.hs], slot [site]): the cached
    handle when it still covers the access, else a freshly acquired one,
    which replaces it. *)
 let[@inline] handle c site addr len what =
   let sp = c.sp in
   let h = Array.unsafe_get c.hs site in
-  if h_valid h sp addr len then h
+  if Memspace.h_valid h sp addr len then h
   else begin
     let h = Memspace.acquire_handle sp addr len what in
     Array.unsafe_set c.hs site h;
     h
   end
-
-let[@inline] ld_u8 (h : Memspace.handle) addr =
-  Char.code (Bytes.unsafe_get h.Memspace.data (addr - h.Memspace.base))
-
-let[@inline] ld_i64 (h : Memspace.handle) addr =
-  Bytes.get_int64_le h.Memspace.data (addr - h.Memspace.base)
-
-let[@inline] ld_f64 h addr = Int64.float_of_bits (ld_i64 h addr)
-
-(* Stores record their dirty span at once, or (shards) in the log. *)
-let[@inline] st_u8 (h : Memspace.handle) addr v =
-  let off = addr - h.Memspace.base in
-  Bytes.unsafe_set h.Memspace.data off (Char.unsafe_chr (v land 0xff));
-  Memspace.note_dirty h off 1
-
-let[@inline] st_i64 (h : Memspace.handle) addr v =
-  let off = addr - h.Memspace.base in
-  Bytes.set_int64_le h.Memspace.data off v;
-  Memspace.note_dirty h off 8
-
-let[@inline] st_f64 h addr v = st_i64 h addr (Int64.bits_of_float v)
-
-let[@inline] st_u8_log l (h : Memspace.handle) addr v =
-  let off = addr - h.Memspace.base in
-  Bytes.unsafe_set h.Memspace.data off (Char.unsafe_chr (v land 0xff));
-  Memspace.log_push l h off 1
-
-let[@inline] st_i64_log l (h : Memspace.handle) addr v =
-  let off = addr - h.Memspace.base in
-  Bytes.set_int64_le h.Memspace.data off v;
-  Memspace.log_push l h off 8
-
-let[@inline] st_f64_log l h addr v = st_i64_log l h addr (Int64.bits_of_float v)
 
 (* Prepare-time state: the variant's decode-time facts, the tables
    callees and kernels resolve against, and the site counters. Decoded
@@ -1717,7 +1681,7 @@ and launch mc (k : kernel) ~trip ~args =
         let tbl = Hashtbl.create 16 in
         mc.track_units <- Some tbl;
         Memspace.pool_flush mc.host;
-        mc.track_threshold <- mc.host.Memspace.next;
+        mc.track_threshold <- Memspace.frontier mc.host;
         Some tbl
       end
       else None
@@ -1943,7 +1907,7 @@ and exec_launch_parallel mc (cf : cfunc) ~trip ~args =
           (Buffer.length smc.out) smc.shard_prints
       in
       Buffer.add_string mc.out (Buffer.sub smc.out 0 keep);
-      failure := Some (Exec_error "instruction budget exhausted (infinite loop?)")
+      failure := Some (Exec_error fuel_message)
     end
     else begin
       Buffer.add_buffer mc.out smc.out;
@@ -2281,7 +2245,7 @@ and decode_load dc d ty a : cinstr =
         (fun c addr ->
           let h = handle c site addr len "load" in
           (match c.mc.track_units with
-          | Some tbl -> track_load_h c.mc tbl h.Memspace.base
+          | Some tbl -> track_load_h c.mc tbl (Memspace.handle_base h)
           | None -> ());
           h)
     else if e.d_san then
@@ -2311,32 +2275,32 @@ and decode_load dc d ty a : cinstr =
     fun c ->
       let addr = rd_a c sa in
       let h = handle c site addr 8 "load" in
-      set_i c.iv o (ld_i64 h addr)
+      set_i c.iv o (Memspace.ld_i64 h addr)
   | None, Ir.F64, Flt o ->
     fun c ->
       let addr = rd_a c sa in
       let h = handle c site addr 8 "load" in
-      Array.unsafe_set c.fv o (ld_f64 h addr)
+      Array.unsafe_set c.fv o (Memspace.ld_f64 h addr)
   | None, Ir.I8, Int o ->
     fun c ->
       let addr = rd_a c sa in
       let h = handle c site addr 1 "load" in
-      set_i c.iv o (Int64.of_int (ld_u8 h addr))
+      set_i c.iv o (Int64.of_int (Memspace.ld_u8 h addr))
   | Some acq, Ir.I64, Int o ->
     fun c ->
       let addr = rd_a c sa in
       let h = acq c addr in
-      set_i c.iv o (ld_i64 h addr)
+      set_i c.iv o (Memspace.ld_i64 h addr)
   | Some acq, Ir.F64, Flt o ->
     fun c ->
       let addr = rd_a c sa in
       let h = acq c addr in
-      Array.unsafe_set c.fv o (ld_f64 h addr)
+      Array.unsafe_set c.fv o (Memspace.ld_f64 h addr)
   | Some acq, Ir.I8, Int o ->
     fun c ->
       let addr = rd_a c sa in
       let h = acq c addr in
-      set_i c.iv o (Int64.of_int (ld_u8 h addr))
+      set_i c.iv o (Int64.of_int (Memspace.ld_u8 h addr))
   | _ -> assert false (* the layout gives f64 loads a Flt slot, others Int *)
 
 (* Logged stores, the shard machines' code (parallel engine): identical
@@ -2365,40 +2329,40 @@ and decode_store_log dc ty a v : cinstr =
     fun c ->
       let addr = rd_a c sa in
       let x = rd_f c sv in
-      st_f64_log (log c) (handle c site addr 8 "store") addr x
+      Memspace.st_f64_log (log c) (handle c site addr 8 "store") addr x
   | false, Ir.I64 ->
     let sv = isrc dc v in
     fun c ->
       let addr = rd_a c sa in
       let x = rd_i c sv in
-      st_i64_log (log c) (handle c site addr 8 "store") addr x
+      Memspace.st_i64_log (log c) (handle c site addr 8 "store") addr x
   | false, Ir.I8 ->
     let sv = isrc dc v in
     fun c ->
       let addr = rd_a c sa in
       let x = Int64.to_int (rd_i c sv) land 0xff in
-      st_u8_log (log c) (handle c site addr 1 "store") addr x
+      Memspace.st_u8_log (log c) (handle c site addr 1 "store") addr x
   | true, Ir.F64 ->
     let sv = fsrc dc v in
     fun c ->
       let addr = rd_a c sa in
       san c addr 8;
       let x = rd_f c sv in
-      st_f64_log (log c) (handle c site addr 8 "store") addr x
+      Memspace.st_f64_log (log c) (handle c site addr 8 "store") addr x
   | true, Ir.I64 ->
     let sv = isrc dc v in
     fun c ->
       let addr = rd_a c sa in
       san c addr 8;
       let x = rd_i c sv in
-      st_i64_log (log c) (handle c site addr 8 "store") addr x
+      Memspace.st_i64_log (log c) (handle c site addr 8 "store") addr x
   | true, Ir.I8 ->
     let sv = isrc dc v in
     fun c ->
       let addr = rd_a c sa in
       san c addr 1;
       let x = Int64.to_int (rd_i c sv) land 0xff in
-      st_u8_log (log c) (handle c site addr 1 "store") addr x
+      Memspace.st_u8_log (log c) (handle c site addr 1 "store") addr x
 
 and decode_store_seq dc ty a v : cinstr =
   let e = dc.env in
@@ -2413,10 +2377,10 @@ and decode_store_seq dc ty a v : cinstr =
        is preserved exactly, then warm the cache. *)
     let track c addr =
       let h = Array.unsafe_get c.hs site in
-      let hit = h_valid h c.sp addr len in
+      let hit = Memspace.h_valid h c.sp addr len in
       (match c.mc.track_units with
       | Some tbl ->
-        if hit then track_store_h c.mc tbl h.Memspace.base
+        if hit then track_store_h c.mc tbl (Memspace.handle_base h)
         else track_store c.mc c.sp tbl addr
       | None -> ());
       hit
@@ -2431,7 +2395,7 @@ and decode_store_seq dc ty a v : cinstr =
         let addr = rd_a c sa in
         let hit = track c addr in
         let x = rd_f c sv in
-        if hit then st_f64 (Array.unsafe_get c.hs site) addr x
+        if hit then Memspace.st_f64 (Array.unsafe_get c.hs site) addr x
         else begin
           Memspace.store_f64 c.sp addr x;
           miss c addr
@@ -2442,7 +2406,7 @@ and decode_store_seq dc ty a v : cinstr =
         let addr = rd_a c sa in
         let hit = track c addr in
         let x = rd_i c sv in
-        if hit then st_i64 (Array.unsafe_get c.hs site) addr x
+        if hit then Memspace.st_i64 (Array.unsafe_get c.hs site) addr x
         else begin
           Memspace.store_i64 c.sp addr x;
           miss c addr
@@ -2453,7 +2417,7 @@ and decode_store_seq dc ty a v : cinstr =
         let addr = rd_a c sa in
         let hit = track c addr in
         let x = Int64.to_int (rd_i c sv) land 0xff in
-        if hit then st_u8 (Array.unsafe_get c.hs site) addr x
+        if hit then Memspace.st_u8 (Array.unsafe_get c.hs site) addr x
         else begin
           Memspace.store_u8 c.sp addr x;
           miss c addr
@@ -2484,40 +2448,40 @@ and decode_store_seq dc ty a v : cinstr =
       fun c ->
         let addr = rd_a c sa in
         let x = rd_f c sv in
-        st_f64 (handle c site addr 8 "store") addr x
+        Memspace.st_f64 (handle c site addr 8 "store") addr x
     | None, Ir.I64 ->
       let sv = isrc dc v in
       fun c ->
         let addr = rd_a c sa in
         let x = rd_i c sv in
-        st_i64 (handle c site addr 8 "store") addr x
+        Memspace.st_i64 (handle c site addr 8 "store") addr x
     | None, Ir.I8 ->
       let sv = isrc dc v in
       fun c ->
         let addr = rd_a c sa in
         let x = Int64.to_int (rd_i c sv) land 0xff in
-        st_u8 (handle c site addr 1 "store") addr x
+        Memspace.st_u8 (handle c site addr 1 "store") addr x
     | Some p, Ir.F64 ->
       let sv = fsrc dc v in
       fun c ->
         let addr = rd_a c sa in
         p c addr;
         let x = rd_f c sv in
-        st_f64 (handle c site addr 8 "store") addr x
+        Memspace.st_f64 (handle c site addr 8 "store") addr x
     | Some p, Ir.I64 ->
       let sv = isrc dc v in
       fun c ->
         let addr = rd_a c sa in
         p c addr;
         let x = rd_i c sv in
-        st_i64 (handle c site addr 8 "store") addr x
+        Memspace.st_i64 (handle c site addr 8 "store") addr x
     | Some p, Ir.I8 ->
       let sv = isrc dc v in
       fun c ->
         let addr = rd_a c sa in
         p c addr;
         let x = Int64.to_int (rd_i c sv) land 0xff in
-        st_u8 (handle c site addr 1 "store") addr x
+        Memspace.st_u8 (handle c site addr 1 "store") addr x
   end
 
 and decode_term dc (t : Ir.terminator) : ctx -> int =

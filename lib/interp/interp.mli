@@ -33,6 +33,10 @@ exception Exec_error of string
     unknown functions, fuel exhaustion, arity mismatches, and (closure
     engines) functions not in SSA form. *)
 
+val is_out_of_fuel : exn -> bool
+(** The run used up [config.fuel]: the [Exec_error] an instruction
+    budget raises, told apart from every other failure. *)
+
 type mode = Split | Unified | Inspector_executor
 
 (** Execution engines:

@@ -18,7 +18,6 @@ let create ~name ~nargs ~kind =
   in
   { func; cur = 0; rev = [| [] |] }
 
-let func t = t.func
 
 let fresh t = fresh_reg t.func
 

@@ -8,7 +8,6 @@ type t
 val create : name:string -> nargs:int -> kind:Ir.fkind -> t
 (** A function with one (entry) block, positioned there. *)
 
-val func : t -> Ir.func
 val fresh : t -> int
 val new_block : t -> int
 val position_at : t -> int -> unit

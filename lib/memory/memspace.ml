@@ -12,9 +12,11 @@
 
    - *Block handles*: [block_of_addr] plus the per-access span check is
      the hot path of the interpreter. A caller that repeatedly touches
-     the same unit can hold the resolved block and revalidate it with a
-     single range-and-liveness test on its fields instead of paying
-     the tree lookup and the separate span check every time. Handles
+     the same unit can hold the resolved block and revalidate it with
+     [h_valid], a single range-and-liveness test on its fields, instead
+     of paying the tree lookup and the separate span check every time.
+     The handle accessors below are [@inline]; the build compiles
+     libraries without -opaque, so they inline into the caller. Handles
      carry the id of their owning space, so a handle cached across a
      CPU/GPU context switch can never alias a block of the other space.
 
@@ -321,6 +323,36 @@ let acquire_handle t addr len what : handle =
   check_span t b addr len what;
   b
 
+(* A handle is valid for an access when it is live, belongs to [t], and
+   [addr, addr+len) sits inside it: one combined test in place of the
+   tree lookup and the span check. *)
+let[@inline] h_valid h t addr len =
+  h.space_id = t.id
+  && (not h.freed)
+  && addr >= h.base
+  && addr + len <= h.base + h.size
+
+let[@inline] handle_base h = h.base
+
+let[@inline] ld_u8 h addr = Char.code (Bytes.unsafe_get h.data (addr - h.base))
+
+let[@inline] ld_i64 h addr = Bytes.get_int64_le h.data (addr - h.base)
+
+let[@inline] ld_f64 h addr = Int64.float_of_bits (ld_i64 h addr)
+
+(* Stores record their dirty span at once. *)
+let[@inline] st_u8 h addr v =
+  let off = addr - h.base in
+  Bytes.unsafe_set h.data off (Char.unsafe_chr (v land 0xff));
+  note_dirty h off 1
+
+let[@inline] st_i64 h addr v =
+  let off = addr - h.base in
+  Bytes.set_int64_le h.data off v;
+  note_dirty h off 8
+
+let[@inline] st_f64 h addr v = st_i64 h addr (Int64.bits_of_float v)
+
 (* ------------------------------------------------------------------ *)
 (* Deferred dirty logging: the parallel kernel engine                  *)
 
@@ -369,6 +401,19 @@ let log_replay l =
     note_dirty (Array.unsafe_get l.l_blocks i) (p lsr 4) (p land 0xf)
   done;
   l.l_len <- 0
+
+(* A shard's stores: the write now, the span in its log. *)
+let[@inline] st_u8_log l h addr v =
+  let off = addr - h.base in
+  Bytes.unsafe_set h.data off (Char.unsafe_chr (v land 0xff));
+  log_push l h off 1
+
+let[@inline] st_i64_log l h addr v =
+  let off = addr - h.base in
+  Bytes.set_int64_le h.data off v;
+  log_push l h off 8
+
+let[@inline] st_f64_log l h addr v = st_i64_log l h addr (Int64.bits_of_float v)
 
 (* ------------------------------------------------------------------ *)
 (* Checked accessors (the tree-walking interpreter's path)             *)
@@ -434,19 +479,23 @@ let peak_bytes t = t.peak_bytes
 
 let live_units t = Cgcm_support.Avl_map.cardinal t.blocks - t.pooled
 
-(* Live blocks as (base, size, tag), ascending by base. Pooled (freed)
-   blocks kept in the index for recycling are excluded: they hold no
-   live data and dangle on purpose. *)
-let blocks_snapshot t =
-  List.rev
-    (Cgcm_support.Avl_map.fold
-       (fun base b acc -> if b.freed then acc else (base, b.size, b.tag) :: acc)
-       t.blocks [])
+let frontier t = t.next
 
-(* The live block whose base is [base], if any. *)
-let live_block_at t base =
+(* Live blocks in ascending base order. Pooled (freed) blocks kept in
+   the index for recycling are skipped: they hold no live data and
+   dangle on purpose. *)
+let fold_live f t acc =
+  Cgcm_support.Avl_map.fold
+    (fun base b acc ->
+      if b.freed then acc
+      else f ~base ~size:b.size ~tag:b.tag ~mark:b.audit_mark acc)
+    t.blocks acc
+
+let mark_live t base ~mark =
   match Cgcm_support.Avl_map.find_opt base t.blocks with
-  | Some b when not b.freed -> Some b
+  | Some b when not b.freed ->
+    b.audit_mark <- mark;
+    Some b.size
   | _ -> None
 
 (* Store an OCaml string as NUL-terminated bytes: one resolution and one

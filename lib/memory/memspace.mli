@@ -15,35 +15,8 @@ exception Fault of string
 (** Raise a {!Fault} with a formatted message. *)
 val fault : ('a, Format.formatter, unit, 'b) format4 -> 'a
 
-type block = {
-  base : int;
-  size : int;
-  data : Bytes.t;
-  mutable tag : string;  (** provenance label, for diagnostics *)
-  space_id : int;  (** id of the owning space, for handle validation *)
-  mutable freed : bool;
-  mutable d_lo : int;  (** head dirty interval, [d_lo, d_hi) in offsets *)
-  mutable d_hi : int;
-  mutable d_rest : (int * int) list;
-      (** retired dirty spans, sorted, pairwise non-adjacent *)
-  mutable audit_mark : int;
-      (** the mark of the last run-time owner audit that found the block
-          owned *)
-}
-
-type t = {
-  name : string;
-  id : int;
-  range_lo : int;
-  range_hi : int;
-  mutable next : int;  (** bump-allocation frontier *)
-  mutable blocks : block Cgcm_support.Avl_map.t;
-  mutable live_bytes : int;
-  mutable peak_bytes : int;
-  mutable last : block option;  (** one-entry resolution cache *)
-  pool : (int, block list) Hashtbl.t;  (** recycling pool, by size *)
-  mutable pooled : int;
-}
+type t
+(** A memory space: its allocation units, indexed by base address. *)
 
 val create : name:string -> range_lo:int -> range_hi:int -> t
 (** [create ~name ~range_lo ~range_hi] is an empty space whose unit
@@ -98,15 +71,17 @@ val load_string : t -> int -> string
 
     The fast path for code that repeatedly touches the same allocation
     unit (the closure-compiled interpreter, which keeps a handle per
-    access site). A handle is the resolved block: the caller revalidates
-    it with one range-and-liveness test on its fields ([space_id],
-    [freed], [base], [size]) instead of the tree lookup plus span check,
-    reads and writes [data] directly, and reports each write through
-    {!note_dirty}. Handles carry their owning space's id, so a handle
-    cached across a CPU/GPU context switch never aliases the other
-    space. *)
+    access site). A handle is the resolved unit. The caller revalidates
+    it with {!h_valid}, one range-and-liveness test, instead of the tree
+    lookup plus span check, then reads and writes through the [ld_*] and
+    [st_*] accessors, which record each write's dirty span as the
+    checked stores do. The accessors are [[@inline]] and the build
+    compiles libraries without [-opaque], so they inline into the caller
+    and an [int64] or [float] crosses no boxed call boundary. Handles
+    carry their owning space's id, so a handle cached across a CPU/GPU
+    context switch never aliases the other space. *)
 
-type handle = block
+type handle
 
 val null_handle : handle
 (** A handle that never validates — the initial value of handle caches. *)
@@ -115,27 +90,37 @@ val acquire_handle : t -> int -> int -> string -> handle
 (** [acquire_handle t addr len what] resolves and span-checks once;
     faults exactly as the checked accessors would. *)
 
-val note_dirty : handle -> int -> int -> unit
-(** [note_dirty h off len] records a direct write of [len] bytes at
-    offset [off] of [h] in its dirty spans, as the checked stores do. *)
+val h_valid : handle -> t -> int -> int -> bool
+(** [h_valid h t addr len]: [h] is live, belongs to [t], and
+    [\[addr, addr+len)] lies inside it. The accessors below assume it. *)
+
+val handle_base : handle -> int
+(** The base address of the handle's unit. *)
+
+val ld_u8 : handle -> int -> int
+val ld_i64 : handle -> int -> int64
+val ld_f64 : handle -> int -> float
+val st_u8 : handle -> int -> int -> unit
+val st_i64 : handle -> int -> int64 -> unit
+val st_f64 : handle -> int -> float -> unit
 
 (** {2 Deferred dirty logging}
 
     The dirty-span accumulator is order-dependent mutable state, so
     shards of a parallel kernel must not update it concurrently. A
-    shard writes [data] immediately but appends the span bookkeeping to
-    a private per-shard log with {!log_push}; {!log_replay} at the join
-    barrier feeds the entries through the ordinary accumulator.
-    Replaying shard logs in shard (= iteration) order reproduces the
-    sequential engine's span state exactly. *)
+    shard stores through the [st_*_log] accessors: they write the data
+    immediately but append the span bookkeeping to a private per-shard
+    log; {!log_replay} at the join barrier feeds the entries through the
+    ordinary accumulator. Replaying shard logs in shard (= iteration)
+    order reproduces the sequential engine's span state exactly. *)
 
 type dirty_log
 
 val log_create : unit -> dirty_log
 val log_clear : dirty_log -> unit
-
-val log_push : dirty_log -> handle -> int -> int -> unit
-(** [log_push l h off len]: the deferred {!note_dirty}. *)
+val st_u8_log : dirty_log -> handle -> int -> int -> unit
+val st_i64_log : dirty_log -> handle -> int -> int64 -> unit
+val st_f64_log : dirty_log -> handle -> int -> float -> unit
 
 val log_replay : dirty_log -> unit
 (** Feed every logged store through the dirty-span accumulator, in log
@@ -162,11 +147,17 @@ val live_bytes : t -> int
 val peak_bytes : t -> int
 val live_units : t -> int
 
-val live_block_at : t -> int -> block option
-(** The live (not freed) block whose base address is exactly the
-    argument. *)
+val frontier : t -> int
+(** The bump-allocation frontier: every unit allocated so far lies
+    below it. *)
 
-val blocks_snapshot : t -> (int * int * string) list
-(** Live blocks as [(base, size, tag)] in ascending base order, pooled
-    blocks excluded — the raw material for leak checks and the
-    allocation-map dump of error diagnostics. *)
+val fold_live :
+  (base:int -> size:int -> tag:string -> mark:int -> 'a -> 'a) -> t -> 'a -> 'a
+(** Fold over the live units in ascending base order; [mark] is the
+    last {!mark_live} stamp the unit received. *)
+
+val mark_live : t -> int -> mark:int -> int option
+(** [mark_live t base ~mark] stamps the live unit based exactly at
+    [base] with [mark] and returns its size; [None] when no live unit
+    starts there. The run-time's owner audit marks every unit it finds
+    owned, then looks for live units left unmarked. *)

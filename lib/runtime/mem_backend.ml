@@ -15,8 +15,6 @@
 
 type kind = Explicit | Paged
 
-let to_string = function Explicit -> "explicit" | Paged -> "paged"
-
 let of_string = function
   | "explicit" -> Ok Explicit
   | "paged" -> Ok Paged

@@ -10,7 +10,6 @@
 
 type kind = Explicit | Paged
 
-val to_string : kind -> string
 val of_string : string -> (kind, string) result
 
 val all : (string * kind) list

@@ -241,6 +241,5 @@ let check_invariants t =
   else Ok ()
 
 let fault_cost t = t.fault_cost
-let page_bytes t = t.page_bytes
 let last_host_fault_pages t = t.last_host_fault_pages
 let pending t = (t.pending_cycles, t.pending_faults)

@@ -94,5 +94,3 @@ val check_invariants : t -> (unit, string) result
 
 val fault_cost : t -> float
 (** Full migration cost of one page, either direction. *)
-
-val page_bytes : t -> int

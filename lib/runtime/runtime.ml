@@ -455,8 +455,8 @@ let check_units ~mark t =
              info.epoch t.global_epoch);
       (match info.devptr with
       | Some d -> (
-        match Memspace.live_block_at dev_mem d with
-        | Some b when b.Memspace.size >= info.size -> b.Memspace.audit_mark <- mark
+        match Memspace.mark_live dev_mem d ~mark with
+        | Some size when size >= info.size -> ()
         | _ -> (
           (* [live_bounds] only names the block for the message. *)
           match live_bounds d with
@@ -473,9 +473,8 @@ let check_units ~mark t =
       match info.arr_shadow with
       | None -> ()
       | Some s ->
-        (match Memspace.live_block_at dev_mem s with
-        | Some b -> b.Memspace.audit_mark <- mark
-        | None -> fail_inv info "dangling shadow array: no live device block");
+        if Memspace.mark_live dev_mem s ~mark = None then
+          fail_inv info "dangling shadow array: no live device block";
         (* While the shadow is live, every translated element must still
            be a registered allocation unit — expiring or unregistering
            one would leave the shadow pointing into recycled memory with
@@ -504,21 +503,21 @@ let check_units ~mark t =
 let audit dev rts =
   let mark = Atomic.fetch_and_add audits 1 + 1 in
   List.iter (check_units ~mark) rts;
-  Avl.iter
-    (fun base (b : Memspace.block) ->
-      if (not b.freed) && b.audit_mark <> mark && b.tag = "dev" then
+  Memspace.fold_live
+    (fun ~base ~size ~tag ~mark:seen () ->
+      if seen <> mark && tag = "dev" then
         raise
           (Runtime_error
              {
                Errors.op = "checkInvariants";
                addr = Some base;
                reason =
-                 Printf.sprintf "orphaned device block (%d bytes): leak" b.size;
+                 Printf.sprintf "orphaned device block (%d bytes): leak" size;
                unit_ = None;
                device = None;
                alloc_map = List.concat_map alloc_map_snapshot rts;
              }))
-    dev.Device.mem.Memspace.blocks
+    dev.Device.mem ()
 
 let check_invariants t = audit t.dev [ t ]
 
@@ -800,11 +799,10 @@ let leak_report t =
       t.info (0, 0)
   in
   let leaked_dev_blocks, leaked_dev_bytes =
-    Avl.fold
-      (fun _ (b : Memspace.block) ((n, bytes) as acc) ->
-        if (not b.freed) && b.tag = "dev" then (n + 1, bytes + b.size)
-        else acc)
-      t.dev.Device.mem.Memspace.blocks (0, 0)
+    Memspace.fold_live
+      (fun ~base:_ ~size ~tag ~mark:_ ((n, bytes) as acc) ->
+        if tag = "dev" then (n + 1, bytes + size) else acc)
+      t.dev.Device.mem (0, 0)
   in
   {
     resident_nonglobal;

@@ -73,8 +73,6 @@ let find_or_add t k compute =
     add t k v;
     (v, `Miss)
 
-let size t = Hashtbl.length t.tbl
-
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 
 let stats (t : (_, _) t) =

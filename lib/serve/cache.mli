@@ -17,8 +17,6 @@ val add : ('k, 'v) t -> 'k -> 'v -> unit
 
 val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v * [ `Hit | `Miss ]
 
-val size : ('k, 'v) t -> int
-
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 
 val stats : ('k, 'v) t -> stats

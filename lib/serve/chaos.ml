@@ -62,6 +62,9 @@ type outcome = {
 let modes =
   [ "opt"; "unopt"; "unified"; "seq"; "ie"; "opt+paged"; "unopt+paged" ]
 
+(* The seeded schedule: a deterministic mix of program variants,
+   modes, tenants and deadline-bombed spins, with a mid-burst kill
+   index. *)
 let plan ~seed ~requests =
   let rng = Rng.stream ~seed 0 in
   let reqs =

@@ -48,11 +48,6 @@ type schedule = {
           daemon is [kill -9]'d without reading the reply *)
 }
 
-val plan : seed:int -> requests:int -> schedule
-(** The seeded schedule: a deterministic mix of program variants,
-    modes, tenants and deadline-bombed spins, with a mid-burst kill
-    index. *)
-
 type violation = { vio_phase : string; vio_detail : string }
 
 type outcome = {

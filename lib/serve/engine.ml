@@ -307,15 +307,6 @@ let is_circuit_failure exn =
   | Errors.Device_error _ | Runtime.Runtime_error _ -> true
   | _ -> false
 
-let fuel_exhausted_prefix = "instruction budget exhausted"
-
-let is_fuel_exhausted = function
-  | Interp.Exec_error msg ->
-    String.length msg >= String.length fuel_exhausted_prefix
-    && String.sub msg 0 (String.length fuel_exhausted_prefix)
-       = fuel_exhausted_prefix
-  | _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* Replies                                                             *)
 
@@ -467,7 +458,7 @@ let execute t (req : Wire.request) ~mode =
         Interp.run_program ~config (program_of entry (execution, backend) config)
     with
     | r -> O_ok (r, retries)
-    | exception exn when is_fuel_exhausted exn -> O_deadline
+    | exception exn when Interp.is_out_of_fuel exn -> O_deadline
     | exception exn when is_capacity_oom exn ->
       (* Genuine device-memory pressure: the warm footprint crowded this
          run out. Evict other tenants' warmth first (the cross-tenant

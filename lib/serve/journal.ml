@@ -266,8 +266,6 @@ type t = {
 let segment_path base ~shards i =
   if shards <= 1 then base else Printf.sprintf "%s.shard%d" base i
 
-let path t = t.jpath
-let state t = t.st
 let stats t = { j_appends = t.appends; j_snapshots = t.snapshots; j_fsyncs = t.fsyncs }
 
 let fsync t =

@@ -73,10 +73,6 @@ val append : t -> record -> unit
 (** Frame, write and fsync one record, fold it into the in-memory
     aggregate, and rotate through a snapshot when due. *)
 
-val state : t -> state
-(** The aggregate of everything appended (and the initial snapshot). *)
-
-val path : t -> string
 val close : t -> unit
 
 val segment_path : string -> shards:int -> int -> string

@@ -41,7 +41,6 @@ type entry = {
 
 type t = {
   dev : Device.t;
-  dev_capacity : int;
   entries : (string * string, entry) Hashtbl.t;
   mutable tick : int;
   mutable cross_evictions : int;  (* units revoked to relieve pressure *)
@@ -51,14 +50,12 @@ let create ~device_mem () =
   let cost = { Cost_model.default with device_mem_bytes = device_mem } in
   {
     dev = Device.create cost;
-    dev_capacity = device_mem;
     entries = Hashtbl.create 16;
     tick = 0;
     cross_evictions = 0;
   }
 
 let device t = t.dev
-let capacity t = t.dev_capacity
 
 let find t ~tenant ~key = Hashtbl.find_opt t.entries (tenant, key)
 let entry_runtime e = e.e_rt
@@ -203,4 +200,4 @@ let shutdown t =
     entries;
   check_invariants t;
   Hashtbl.reset t.entries;
-  List.length (Memspace.blocks_snapshot t.dev.Device.mem)
+  Memspace.live_units t.dev.Device.mem

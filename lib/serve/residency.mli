@@ -17,7 +17,6 @@ val create : device_mem:int -> unit -> t
     unbounded). *)
 
 val device : t -> Cgcm_gpusim.Device.t
-val capacity : t -> int
 
 val warm :
   t ->

@@ -116,7 +116,6 @@ let create ?(engine_config = Engine.default_config) ?journal_path ?(shards = 1)
   }
 
 let engine t = Shard.engine t.shards 0
-let group t = t.shards
 let shards t = Shard.count t.shards
 let recovered t = Shard.recovered t.shards
 let stop t = t.stopping <- true

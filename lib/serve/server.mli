@@ -40,7 +40,6 @@ val engine : t -> Engine.t
     reads or after {!run} returns; single-shard tests may drive it
     directly as before. *)
 
-val group : t -> Shard.group
 val shards : t -> int
 
 val recovered : t -> Engine.recovery option

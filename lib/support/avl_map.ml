@@ -90,8 +90,6 @@ let rec find_opt (key : int) = function
   | Node { l; k; v; r; _ } ->
     if key = k then Some v else if key < k then find_opt key l else find_opt key r
 
-let mem key t = Option.is_some (find_opt key t)
-
 (* Greatest binding whose key is <= [key]; the paper's greatestLTE. *)
 let greatest_leq (key : int) t =
   let rec go best = function

@@ -21,7 +21,6 @@ val remove : key -> 'a t -> 'a t
 (** Removing an absent key is a no-op. *)
 
 val find_opt : key -> 'a t -> 'a option
-val mem : key -> 'a t -> bool
 
 val greatest_leq : key -> 'a t -> (key * 'a) option
 (** Greatest binding whose key is <= the query — the paper's

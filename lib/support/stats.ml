@@ -33,6 +33,4 @@ let geomean = function
     in
     exp (logsum /. float_of_int (List.length xs))
 
-let sum = List.fold_left ( +. ) 0.0
-
 let percent part total = if total <= 0.0 then 0.0 else 100.0 *. part /. total

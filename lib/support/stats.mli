@@ -21,7 +21,5 @@ val mean : float list -> float
 val geomean : float list -> float
 (** Geometric mean; raises [Invalid_argument] on non-positive inputs. *)
 
-val sum : float list -> float
-
 val percent : float -> float -> float
 (** [percent part total] is [100 * part / total], or 0 when [total <= 0]. *)

@@ -1425,6 +1425,46 @@ let test_sharded_concurrent_cold () =
       (contains ~affix:"device_leaks=0" line)
   | None -> Alcotest.fail "daemon thread returned nothing"
 
+(* ------------------------------------------------------------------ *)
+(* The router's read deadline: a peer that stalls mid-frame loses its  *)
+(* connection, and only its connection                                  *)
+
+let test_read_deadline () =
+  let path = Printf.sprintf "/tmp/cgcm-test-loris-%d.sock" (Unix.getpid ()) in
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let srv =
+    Server.create ~read_deadline_s:0.2 ~log:(fun _ -> ()) ~socket_path:path ()
+  in
+  let daemon = Thread.create (fun () -> ignore (Server.run srv)) () in
+  let finally () =
+    Server.stop srv;
+    Thread.join daemon;
+    try Unix.unlink path with Unix.Unix_error _ -> ()
+  in
+  Fun.protect ~finally @@ fun () ->
+  check Alcotest.bool "daemon came up" true
+    (Client.wait_ready ~socket_path:path ());
+  Client.with_conn path (fun fd ->
+      (* two bytes of a four-byte frame header, then silence *)
+      check Alcotest.int "partial header written" 2
+        (Unix.write_substring fd "\x00\x00" 0 2);
+      check Alcotest.bool "a stalled peer does not block others" true
+        (Client.ping ~socket_path:path);
+      let reply =
+        Client.read_frame_deadline fd ~socket_path:path ~timeout_ms:10_000
+      in
+      check Alcotest.string "error frame" "error"
+        (Json.str_field ~default:"" "status" reply);
+      check Alcotest.bool "names the read deadline" true
+        (contains ~affix:"read deadline exceeded"
+           (Json.str_field ~default:"" "error" reply));
+      (match Unix.select [ fd ] [] [] 10.0 with
+      | [], _, _ -> Alcotest.fail "peer not dropped after the error frame"
+      | _ ->
+        check Alcotest.int "then EOF" 0 (Unix.read fd (Bytes.create 16) 0 16));
+      check Alcotest.bool "other connections still answered" true
+        (Client.ping ~socket_path:path))
+
 let tests =
   [
     Alcotest.test_case "wire messages round-trip" `Quick test_wire_round_trip;
@@ -1490,4 +1530,6 @@ let tests =
       test_sharded_concurrent_cold;
     Alcotest.test_case "cache hits reuse prepared programs" `Quick
       test_hits_reuse_programs;
+    Alcotest.test_case "read deadline drops a stalled peer" `Quick
+      test_read_deadline;
   ]
