@@ -47,7 +47,9 @@ type stats = {
 type t = {
   page_bytes : int;
   fault_cost : float;  (* full per-page migration cost, both directions *)
-  table : (int, side) Hashtbl.t;  (* page index -> residence *)
+  table : (int, side) Hashtbl.t;
+      (* page index -> residence; starts small, because a bucket array
+         over 256 words would go to the major heap on every run *)
   stats : stats;
   dev : Cgcm_gpusim.Device.t;
   mutable pending_cycles : float;  (* device faults awaiting launch end *)
@@ -66,7 +68,7 @@ let create ~dev (cost : Cgcm_gpusim.Cost_model.t) =
       cost.Cgcm_gpusim.Cost_model.page_fault_cycles
       +. float_of_int page_bytes
          /. cost.Cgcm_gpusim.Cost_model.transfer_bytes_per_cycle;
-    table = Hashtbl.create 1024;
+    table = Hashtbl.create 16;
     stats =
       {
         touches = 0;

@@ -20,7 +20,9 @@ let read_frame_deadline fd ~socket_path ~timeout_ms : Json.t =
     Unix.gettimeofday () +. (float_of_int timeout_ms /. 1000.0)
   in
   let dec = Wire.decoder () in
-  let buf = Bytes.create 8192 in
+  (* under [Max_young_wosize] (256 words), so it stays on the minor
+     heap; the decoder reassembles frames across reads *)
+  let buf = Bytes.create 1024 in
   let timeout () =
     raise
       (Cgcm_support.Errors.Serve_request_timeout

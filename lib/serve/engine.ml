@@ -204,7 +204,6 @@ let create ?(config = default_config) ?journal () =
     recovered = None;
   }
 
-let config t = t.cfg
 let stats t = t.stats
 let residency t = t.res
 let cache_stats t = Cache.stats t.cache

@@ -65,7 +65,6 @@ val create : ?config:config -> ?journal:Journal.t -> unit -> t
     entry, breaker transition) is appended — and fsynced per the
     journal's cadence — before the reply depending on it is sent. *)
 
-val config : t -> config
 val stats : t -> stats
 val residency : t -> Residency.t
 val cache_stats : t -> Cache.stats

@@ -56,6 +56,8 @@ type t = {
   mutable next_token : int;
   inflight_by_shard : int array;  (* posted minus replied, per shard *)
   mutable inflight : int;
+  rbuf : Bytes.t;
+      (* every socket read lands here; the decoder copies what it keeps *)
   log : string -> unit;
   read_deadline_s : float;
   drain_grace_s : float;
@@ -107,6 +109,7 @@ let create ?(engine_config = Engine.default_config) ?journal_path ?(shards = 1)
     next_token = 0;
     inflight_by_shard = Array.make (Shard.count group) 0;
     inflight = 0;
+    rbuf = Bytes.create 8192;
     log;
     read_deadline_s;
     drain_grace_s;
@@ -171,8 +174,11 @@ let send_error_and_drop t c msg =
 (* Aggregated across shards. Off the router's domain these are racy
    reads of word-sized counters — stale but never torn (OCaml memory
    model); once the daemon quiesces (replies drained through the outbox
-   mutex) they are exact. *)
+   mutex) they are exact. The [gc_*] fields are the runtime's own
+   process-wide counters, reported once: a shard domain's allocation
+   joins them at its next minor collection. *)
 let stats_json t : Json.t =
+  let gc = Gc.quick_stat () in
   let engines = Shard.engines t.shards in
   let el = Array.to_list engines in
   let s = Engine.sum_stats (List.map Engine.stats el) in
@@ -214,6 +220,9 @@ let stats_json t : Json.t =
          Json.Int
            (sum (fun e -> Residency.cross_evictions (Engine.residency e))) );
        ("draining", Json.Bool t.draining);
+       ("gc_minor_collections", Json.Int gc.Gc.minor_collections);
+       ("gc_major_collections", Json.Int gc.Gc.major_collections);
+       ("gc_major_words", Json.Int (int_of_float gc.Gc.major_words));
      ]
     @ (match journal_stats with
       | [] -> []
@@ -277,12 +286,11 @@ let handle_frame t c (v : Json.t) =
          ])
 
 let read_conn t c =
-  let buf = Bytes.create 8192 in
-  match Unix.read c.fd buf 0 (Bytes.length buf) with
+  match Unix.read c.fd t.rbuf 0 (Bytes.length t.rbuf) with
   | 0 -> drop_conn t c
   | n -> (
     match
-      Wire.decoder_feed c.dec buf n;
+      Wire.decoder_feed c.dec t.rbuf n;
       Wire.decoder_drain c.dec
     with
     | frames ->

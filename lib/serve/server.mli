@@ -11,7 +11,17 @@
     Lifecycle hardening: startup probes (rather than clobbers) an
     existing socket file; {!stop} triggers a graceful drain; peers that
     stall mid-frame or never read their replies are dropped with a
-    typed error frame. *)
+    typed error frame.
+
+    Ops besides "run": "ping", "shutdown" and "stats". The "stats"
+    reply sums the shards' engine counters (received, ok, shed, cache
+    hits and misses, warm bytes, ...) and adds the process's own GC
+    counters once, from [Gc.quick_stat]: [gc_minor_collections],
+    [gc_major_collections] and [gc_major_words] (words allocated on or
+    promoted to the major heap). A shard domain's allocation joins them
+    at its next minor collection. Deltas across a run of requests give
+    the daemon's GC cost per request; a cache hit stays off the major
+    heap (DESIGN.md §16). *)
 
 type t
 

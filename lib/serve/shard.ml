@@ -56,6 +56,8 @@ type group = {
   g_out_lock : Mutex.t;
   g_wake_r : Unix.file_descr option;
   g_wake_w : Unix.file_descr option;
+  g_wake_byte : Bytes.t;  (* only ever read, so the workers share it *)
+  g_drain_buf : Bytes.t;  (* the router's wake-pipe drain *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -130,6 +132,8 @@ let create ?(engine_config = Engine.default_config) ?journal_path
     g_out_lock = Mutex.create ();
     g_wake_r = wake_r;
     g_wake_w = wake_w;
+    g_wake_byte = Bytes.make 1 'w';
+    g_drain_buf = Bytes.create 256;
   }
 
 let count g = Array.length g.g_shards
@@ -152,8 +156,7 @@ let wake g =
   match g.g_wake_w with
   | None -> ()
   | Some fd -> (
-    let b = Bytes.make 1 'w' in
-    try ignore (Unix.write fd b 0 1 : int)
+    try ignore (Unix.write fd g.g_wake_byte 0 1 : int)
     with
     | Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EPIPE), _, _) ->
       (* a full pipe already guarantees a pending wake-up *)
@@ -240,9 +243,9 @@ let drain_replies g =
   (match g.g_wake_r with
   | None -> ()
   | Some fd -> (
-    let b = Bytes.create 256 in
+    let b = g.g_drain_buf in
     try
-      while Unix.read fd b 0 256 > 0 do
+      while Unix.read fd b 0 (Bytes.length b) > 0 do
         ()
       done
     with

@@ -58,8 +58,9 @@ let rec files_with_suffix suffix dir =
 let ml_files = files_with_suffix ".ml"
 
 (* A top-level binding whose right-hand side allocates a [ref], a
-   [Hashtbl.create] table or an [Array.make] array, in the structure or
-   any nested module structure. *)
+   table, an array, a byte buffer or a queue, in the structure or any
+   nested module structure. A buffer reused across requests belongs to
+   the instance that owns the requests, never to the module. *)
 let mutable_bindings source =
   let open Parsetree in
   let rec allocates e =
@@ -67,7 +68,13 @@ let mutable_bindings source =
     | Pexp_constraint (e, _) -> allocates e
     | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) -> (
       match Longident.flatten txt with
-      | [ "ref" ] | [ "Hashtbl"; "create" ] | [ "Array"; "make" ] -> true
+      | [ "ref" ]
+      | [ "Hashtbl"; "create" ]
+      | [ "Array"; ("make" | "init") ]
+      | [ "Bytes"; ("create" | "make") ]
+      | [ "Buffer"; "create" ]
+      | [ "Queue"; "create" ] ->
+        true
       | _ -> false)
     | _ -> false
   in
@@ -126,7 +133,17 @@ let test_lint_catches () =
         let f () = let local = ref 0 in !local\n\
         module M = struct let b : (int, int) Hashtbl.t = Hashtbl.create 8 end\n\
         let c = Array.make 4 0\n\
-        let d = Atomic.make 0")
+        let d = Atomic.make 0");
+  check Alcotest.(list string) "buffers, queues and built arrays are caught"
+    [ "e"; "f"; "g"; "h"; "i" ]
+    (mutable_bindings
+       "let e = Bytes.create 8192\n\
+        let f = Bytes.make 1 'w'\n\
+        module N = struct let g = Buffer.create 256 end\n\
+        let h = Array.init 4 Fun.id\n\
+        let i : int Queue.t = Queue.create ()\n\
+        let per_call () = Bytes.create 8192\n\
+        let s = Bytes.to_string Bytes.empty")
 
 (* ------------------------------------------------------------------ *)
 (* Lint: every [val] in lib/ has a caller outside its own module        *)
@@ -134,63 +151,126 @@ let test_lint_catches () =
 (* Each survivor says why it stays exported without a caller. *)
 let export_allowlist : (string * string) list = []
 
-(* The [val] names an interface declares, nested signatures included. *)
-let interface_vals source =
+(* The [val]s an interface declares, each with the module that
+   qualifies it at a call site: the interface's own module, or the
+   innermost nested signature. *)
+let interface_vals ~modname source =
   let open Parsetree in
-  let rec signature items = List.concat_map item items
-  and item i =
+  let rec signature m items = List.concat_map (item m) items
+  and item m i =
     match i.psig_desc with
-    | Psig_value vd -> [ vd.pval_name.txt ]
-    | Psig_module { pmd_type; _ } -> modtype pmd_type
-    | Psig_recmodule mds -> List.concat_map (fun md -> modtype md.pmd_type) mds
+    | Psig_value vd -> [ (m, vd.pval_name.txt) ]
+    | Psig_module { pmd_name = { txt = Some n; _ }; pmd_type; _ } ->
+      modtype n pmd_type
+    | Psig_recmodule mds ->
+      List.concat_map
+        (fun md ->
+          match md.pmd_name.txt with
+          | Some n -> modtype n md.pmd_type
+          | None -> [])
+        mds
     | _ -> []
-  and modtype m =
-    match m.pmty_desc with Pmty_signature s -> signature s | _ -> []
+  and modtype m t =
+    match t.pmty_desc with Pmty_signature s -> signature m s | _ -> []
   in
-  signature (Parse.interface (Lexing.from_string source))
+  signature modname (Parse.interface (Lexing.from_string source))
 
-(* The identifier words of a source text. *)
-let words source =
-  let seen = Hashtbl.create 1024 in
-  let word c =
-    match c with
-    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
-    | _ -> false
+(* The ["Module.name"] values an implementation refers to. A path is
+   named by its last module, after following [module X = ...] aliases,
+   so [Cgcm_serve.Server.run], [S.run] under [module S = Server] and
+   [run] inside [open Server] or [Server.(...)] all read
+   ["Server.run"]. Opens count for the whole file, so a bare name can
+   only be over-credited, never missed. *)
+let qualified_refs source =
+  let open Parsetree in
+  let aliases = Hashtbl.create 16
+  and opens = Hashtbl.create 8
+  and bare = Hashtbl.create 256
+  and refs = Hashtbl.create 256 in
+  let rec last = function
+    | Longident.Lident m -> Some m
+    | Ldot (_, m) -> Some m
+    | Lapply _ -> None
+  and module_ident m =
+    match m.pmod_desc with
+    | Pmod_ident { txt; _ } -> last txt
+    | Pmod_constraint (m, _) -> module_ident m
+    | _ -> None
   in
-  let n = String.length source in
-  let i = ref 0 in
-  while !i < n do
-    if word source.[!i] then begin
-      let j = ref !i in
-      while !j < n && word source.[!j] do
-        incr j
-      done;
-      Hashtbl.replace seen (String.sub source !i (!j - !i)) ();
-      i := !j
-    end
-    else incr i
-  done;
-  seen
+  let alias name m =
+    match (name, module_ident m) with
+    | Some x, Some target -> Hashtbl.replace aliases x target
+    | _ -> ()
+  in
+  let rec resolve depth m =
+    match Hashtbl.find_opt aliases m with
+    | Some target when depth < 16 && target <> m -> resolve (depth + 1) target
+    | _ -> m
+  in
+  let idents = ref [] in
+  let super = Ast_iterator.default_iterator in
+  let it =
+    {
+      super with
+      module_binding =
+        (fun self mb ->
+          alias mb.pmb_name.txt mb.pmb_expr;
+          super.module_binding self mb);
+      open_declaration =
+        (fun self od ->
+          Option.iter
+            (fun m -> Hashtbl.replace opens m ())
+            (module_ident od.popen_expr);
+          super.open_declaration self od);
+      expr =
+        (fun self e ->
+          (match e.pexp_desc with
+          | Pexp_ident { txt; _ } -> idents := txt :: !idents
+          | Pexp_letmodule ({ txt; _ }, m, _) -> alias txt m
+          | _ -> ());
+          super.expr self e);
+    }
+  in
+  it.structure it (Parse.implementation (Lexing.from_string source));
+  List.iter
+    (function
+      | Longident.Lident n -> Hashtbl.replace bare n ()
+      | Ldot (p, n) ->
+        Option.iter
+          (fun m -> Hashtbl.replace refs (resolve 0 m ^ "." ^ n) ())
+          (last p)
+      | Lapply _ -> ())
+    !idents;
+  Hashtbl.iter
+    (fun m () ->
+      let m = resolve 0 m in
+      Hashtbl.iter (fun n () -> Hashtbl.replace refs (m ^ "." ^ n) ()) bare)
+    opens;
+  refs
 
 (* [dead_exports interfaces implementations]: every ["path.mli:name"]
-   whose name appears as a word in no implementation but the
-   interface's own [path.ml]. *)
+   that no implementation but the interface's own [path.ml] refers to
+   as [Module.name]. *)
 let dead_exports interfaces implementations =
   let impls =
-    List.map (fun (path, source) -> (path, words source)) implementations
+    List.map (fun (path, source) -> (path, qualified_refs source))
+      implementations
   in
   List.concat_map
     (fun (mli, source) ->
       let own = Filename.chop_suffix mli ".mli" ^ ".ml" in
+      let modname =
+        String.capitalize_ascii (Filename.basename (Filename.chop_suffix mli ".mli"))
+      in
       List.filter_map
-        (fun v ->
+        (fun (m, v) ->
           if
             List.exists
-              (fun (path, ws) -> path <> own && Hashtbl.mem ws v)
+              (fun (path, refs) -> path <> own && Hashtbl.mem refs (m ^ "." ^ v))
               impls
           then None
           else Some (mli ^ ":" ^ v))
-        (interface_vals source))
+        (interface_vals ~modname source))
     interfaces
 
 let read_file path =
@@ -236,6 +316,24 @@ let test_export_lint_catches () =
        [
          ("a.ml", "let used = 1 let dead = 2 let self_only = 3 let inner = 4");
          ("b.ml", "let x = A.used + A.M.inner (* deadline *)");
+       ]);
+  check Alcotest.(list string)
+    "a bare word is no caller; aliases and opens are"
+    [ "lib/c.mli:word" ]
+    (dead_exports
+       [
+         ( "lib/c.mli",
+           "val word : int\n\
+            val aliased : int\n\
+            val opened : int\n\
+            val local : int\n\
+            module N : sig val nested : int end" );
+       ]
+       [
+         ("lib/c.ml", "let word = 1 let aliased = 2 let opened = 3");
+         ("d.ml", "let word = 0 let y = word + Lib.C.N.nested");
+         ("e.ml", "module K = Lib.C\nmodule J = K\nlet z = J.aliased");
+         ("f.ml", "open Lib.C\nlet w = opened + Lib.C.(local)");
        ])
 
 let tests =

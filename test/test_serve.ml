@@ -1465,6 +1465,52 @@ let test_read_deadline () =
       check Alcotest.bool "other connections still answered" true
         (Client.ping ~socket_path:path))
 
+(* ------------------------------------------------------------------ *)
+(* Request-path allocation: a cache hit must not allocate on the major  *)
+(* heap, where every collection stops every domain                      *)
+
+let test_hot_requests_off_major_heap () =
+  let path = tmp_path "hot-gc.sock" in
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let srv = Server.create ~log:(fun _ -> ()) ~socket_path:path () in
+  let daemon = Thread.create (fun () -> ignore (Server.run srv)) () in
+  let finally () =
+    Server.stop srv;
+    Thread.join daemon;
+    try Unix.unlink path with Unix.Unix_error _ -> ()
+  in
+  Fun.protect ~finally @@ fun () ->
+  check Alcotest.bool "daemon came up" true
+    (Client.wait_ready ~socket_path:path ());
+  let modes = [| "opt"; "unopt"; "opt+paged"; "seq" |] in
+  let src = Loadgen.source ~variant:2 in
+  let send id mode =
+    Client.request ~socket_path:path (request ~id ~tenant:"hot" ~mode src)
+  in
+  Array.iteri
+    (fun i mode -> check_status (mode ^ " warm-up ok") Wire.Ok (send i mode))
+    modes;
+  let requests = 200 in
+  let major_words () =
+    Json.int_field "gc_major_words" (Client.stats ~socket_path:path)
+  in
+  let before = major_words () in
+  for k = 1 to requests do
+    let mode = modes.(k mod Array.length modes) in
+    let rp = send (100 + k) mode in
+    check_status (Printf.sprintf "hot request %d ok" k) Wire.Ok rp;
+    check Alcotest.string (Printf.sprintf "hot request %d hits" k) "hit"
+      rp.Wire.rp_cache
+  done;
+  let per_request = (major_words () - before) / requests in
+  (* the counters are process-wide: this bounds the client too *)
+  check Alcotest.bool
+    (Printf.sprintf "at most 256 major words per request (read %d)"
+       per_request)
+    true (per_request <= 256);
+  check Alcotest.bool "daemon acknowledged shutdown" true
+    (Client.shutdown ~socket_path:path)
+
 let tests =
   [
     Alcotest.test_case "wire messages round-trip" `Quick test_wire_round_trip;
@@ -1532,4 +1578,6 @@ let tests =
       test_hits_reuse_programs;
     Alcotest.test_case "read deadline drops a stalled peer" `Quick
       test_read_deadline;
+    Alcotest.test_case "hot requests stay off the major heap" `Quick
+      test_hot_requests_off_major_heap;
   ]
