@@ -928,14 +928,23 @@ external set_i : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
    handle when it still covers the access, else a freshly acquired one,
    which replaces it. *)
 let[@inline] handle c site addr len what =
-  let sp = c.sp in
-  let h = Array.unsafe_get c.hs site in
-  if Memspace.h_valid h sp addr len then h
-  else begin
-    let h = Memspace.acquire_handle sp addr len what in
-    Array.unsafe_set c.hs site h;
-    h
-  end
+  Memspace.cached_handle c.hs site c.sp addr len what
+
+(* A folded address chain in the form [global + Σ slotᵢ·scaleᵢ + k],
+   accumulated by [affine_walk] into the prepare's one scratch record
+   ([d_aff]): [ag] is the one global, taken with [+], if any;
+   [offs]/[scales] hold [n] int-slot terms, one per slot. Scales and [k]
+   fold in native ints, which wrap exactly as the chain's own arithmetic
+   does. Int slots and immediates cannot fault and the global's first
+   touch is the chain's only effect, so evaluating the sum in any order
+   is unobservable. *)
+type affine = {
+  mutable ag : string option;
+  mutable k : int;
+  mutable n : int;
+  offs : int array;
+  scales : int array;
+}
 
 (* Prepare-time state: the variant's decode-time facts, the tables
    callees and kernels resolve against, and the site counters. Decoded
@@ -950,6 +959,7 @@ type denv = {
   mutable d_nhandle : int;
   mutable d_ngaddr : int;
   mutable d_npaged : int;
+  d_aff : affine;
 }
 
 let handle_site e =
@@ -1059,8 +1069,10 @@ let[@inline] rd_f c = function
   | Fimm x -> x
   | Ffn f -> f c
 
+let[@inline] rd_int c o = Int64.to_int (get_i c.iv o)
+
 let[@inline] rd_a c = function
-  | Areg o -> Int64.to_int (get_i c.iv o)
+  | Areg o -> rd_int c o
   | Abox i -> Int64.to_int (as_int (Array.unsafe_get c.fr i))
   | Aimm a -> a
   | Afn f -> f c
@@ -1110,11 +1122,72 @@ let operand_slot dc r =
   | Some (Cond _) -> assert false (* consumed by the branch only *)
   | None -> `Slot (slot_of dc r)
 
+(* Add [m]·slot [o] to [a], from term [i] on. *)
+let rec affine_term a o m i =
+  if i = a.n then begin
+    if i = 3 then raise Exit;
+    a.offs.(i) <- o;
+    a.scales.(i) <- m;
+    a.n <- i + 1
+  end
+  else if a.offs.(i) = o then a.scales.(i) <- a.scales.(i) + m
+  else affine_term a o m (i + 1)
+
+(* Add [m]·[v] to [a]; [Exit] when [v] has no such form: a boxed or
+   float leaf, a product of two registers, a global taken with other
+   than [+] or a second one, or a fourth slot. *)
+let rec affine_walk dc a m (v : Ir.value) =
+  match v with
+  | Ir.Imm_int k -> a.k <- a.k + (m * Int64.to_int k)
+  | Ir.Global g when m = 1 && a.ag = None -> a.ag <- Some g
+  | Ir.Reg r -> (
+    match operand_slot dc r with
+    | `Slot (Int o) -> affine_term a o m 0
+    | `Addr (Ir.Binop (_, Ir.Add, x, y)) ->
+      affine_walk dc a m x;
+      affine_walk dc a m y
+    | `Addr (Ir.Binop (_, Ir.Sub, x, y)) ->
+      affine_walk dc a m x;
+      affine_walk dc a (-m) y
+    | `Addr (Ir.Binop (_, Ir.Mul, x, Ir.Imm_int k))
+    | `Addr (Ir.Binop (_, Ir.Mul, Ir.Imm_int k, x)) ->
+      affine_walk dc a (m * Int64.to_int k) x
+    | _ -> raise Exit)
+  | _ -> raise Exit
+
+(* The affine form [a] of a folded address chain as one closure,
+   specialised by its number of terms. *)
+let affine_addr dc (a : affine) : asrc =
+  let k = a.k and o1 = a.offs.(0) and o2 = a.offs.(1) and o3 = a.offs.(2) in
+  let s1 = a.scales.(0) and s2 = a.scales.(1) and s3 = a.scales.(2) in
+  match a.ag with
+  | None -> (
+    match a.n with
+    | 0 -> Aimm k
+    | 1 -> Afn (fun c -> (rd_int c o1 * s1) + k)
+    | 2 -> Afn (fun c -> (rd_int c o1 * s1) + (rd_int c o2 * s2) + k)
+    | _ -> Afn (fun c -> (rd_int c o1 * s1) + (rd_int c o2 * s2) + (rd_int c o3 * s3) + k))
+  | Some g -> (
+    let ga = gaddr dc.env g in
+    match a.n with
+    | 0 -> Afn (fun c -> ga c + k)
+    | 1 -> Afn (fun c -> ga c + (rd_int c o1 * s1) + k)
+    | 2 -> Afn (fun c -> ga c + (rd_int c o1 * s1) + (rd_int c o2 * s2) + k)
+    | _ ->
+      Afn (fun c -> ga c + (rd_int c o1 * s1) + (rd_int c o2 * s2) + (rd_int c o3 * s3) + k))
+
 let rec asrc dc (v : Ir.value) : asrc =
   match v with
   | Ir.Reg r -> (
     match operand_slot dc r with
-    | `Addr i -> Afn (expr_addr dc i)
+    | `Addr i -> (
+      let a = dc.env.d_aff in
+      a.ag <- None;
+      a.k <- 0;
+      a.n <- 0;
+      match affine_walk dc a 1 v with
+      | () -> affine_addr dc a
+      | exception Exit -> Afn (expr_addr dc i))
     | `Slot (Int o) -> Areg o
     | `Slot (Flt _) -> Afn (fun _ -> float_as_int ())
     | `Slot (Box i) -> Abox i)
@@ -1122,7 +1195,9 @@ let rec asrc dc (v : Ir.value) : asrc =
   | Ir.Imm_float _ -> Afn (fun _ -> float_as_int ())
   | Ir.Global g -> Afn (gaddr dc.env g)
 
-(* An [Addr] fold, right operand first as in the tree engine. *)
+(* An [Addr] fold that [affine_addr] cannot express (a boxed leaf, a
+   product of two registers, a subtracted or second global, more than
+   three terms), right operand first as in the tree engine. *)
 and expr_addr dc (i : Ir.instr) : ctx -> int =
   match i with
   | Ir.Binop (_, op, a, b) -> (
@@ -2376,7 +2451,7 @@ and decode_store_seq dc ty a v : cinstr =
        order (track's wild-pointer fault, value confusion, span overrun)
        is preserved exactly, then warm the cache. *)
     let track c addr =
-      let h = Array.unsafe_get c.hs site in
+      let h = Memspace.site_handle c.hs site in
       let hit = Memspace.h_valid h c.sp addr len in
       (match c.mc.track_units with
       | Some tbl ->
@@ -2385,9 +2460,7 @@ and decode_store_seq dc ty a v : cinstr =
       | None -> ());
       hit
     in
-    let miss c addr =
-      Array.unsafe_set c.hs site (Memspace.acquire_handle c.sp addr len "store")
-    in
+    let miss c addr = ignore (handle c site addr len "store") in
     match ty with
     | Ir.F64 ->
       let sv = fsrc dc v in
@@ -2395,7 +2468,7 @@ and decode_store_seq dc ty a v : cinstr =
         let addr = rd_a c sa in
         let hit = track c addr in
         let x = rd_f c sv in
-        if hit then Memspace.st_f64 (Array.unsafe_get c.hs site) addr x
+        if hit then Memspace.st_f64 (Memspace.site_handle c.hs site) addr x
         else begin
           Memspace.store_f64 c.sp addr x;
           miss c addr
@@ -2406,7 +2479,7 @@ and decode_store_seq dc ty a v : cinstr =
         let addr = rd_a c sa in
         let hit = track c addr in
         let x = rd_i c sv in
-        if hit then Memspace.st_i64 (Array.unsafe_get c.hs site) addr x
+        if hit then Memspace.st_i64 (Memspace.site_handle c.hs site) addr x
         else begin
           Memspace.store_i64 c.sp addr x;
           miss c addr
@@ -2417,7 +2490,7 @@ and decode_store_seq dc ty a v : cinstr =
         let addr = rd_a c sa in
         let hit = track c addr in
         let x = Int64.to_int (rd_i c sv) land 0xff in
-        if hit then Memspace.st_u8 (Array.unsafe_get c.hs site) addr x
+        if hit then Memspace.st_u8 (Memspace.site_handle c.hs site) addr x
         else begin
           Memspace.store_u8 c.sp addr x;
           miss c addr
@@ -2566,6 +2639,7 @@ let prepare (config : config) (m : Ir.modul) : program =
       d_nhandle = 0;
       d_ngaddr = 0;
       d_npaged = 0;
+      d_aff = { ag = None; k = 0; n = 0; offs = Array.make 3 0; scales = Array.make 3 0 };
     }
   in
   let pcode = Hashtbl.create 32 and plog = Hashtbl.create 8 in

@@ -45,7 +45,14 @@ type mode = Split | Unified | Inspector_executor
       (threaded-code style) with operand shapes, binop/unop dispatch,
       and callees and kernels resolved at decode time; registers whose
       type their def fixes live in unboxed int64 and float slot files;
-      loads and stores cache a validated block handle per site, in the
+      the add/sub/mul chain that forms a load or store address is
+      flattened at decode time into [global + Σ slot·scale + k] and
+      evaluated as one closure (up to three int-slot terms, with
+      immediates and at most one global taken with [+]), while a chain
+      with a boxed leaf, a product of two registers, a subtracted or
+      second global, or a fourth term is evaluated operand by operand in
+      the tree engine's order; loads and stores cache a validated block
+      handle per site, in the
       run's own site arrays, so decoded code is shared by every run; a
       kernel launch runs all its threads in one reused frame. A function
       that is not in SSA form (a register assigned twice, or used where

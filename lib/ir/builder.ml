@@ -1,30 +1,39 @@
 (* Imperative function builder used by the frontend lowering and by tests
-   that construct IR by hand. Instructions accumulate per block (in
-   reverse); [finish] writes them into the function. The insertion point
-   may move freely between blocks. *)
+   that construct IR by hand. Blocks, and each block's instructions (in
+   reverse), accumulate in doubling buffers, so adding a block is
+   amortised constant time; [finish] writes them into the function. The
+   insertion point may move freely between blocks. *)
 
 open Ir
 
 type t = {
   func : func;
   mutable cur : int;  (* current block index *)
+  mutable blocks : block array;  (* the first [nblocks] are the function's *)
   mutable rev : instr list array;  (* per-block instructions, reversed *)
+  mutable nblocks : int;
 }
 
-let create ~name ~nargs ~kind =
-  let entry = { instrs = []; term = Ret None } in
-  let func =
-    { fname = name; nargs; nregs = nargs; blocks = [| entry |]; fkind = kind }
-  in
-  { func; cur = 0; rev = [| [] |] }
+let empty_block () = { instrs = []; term = Ret None }
 
+let create ~name ~nargs ~kind =
+  let func = { fname = name; nargs; nregs = nargs; blocks = [||]; fkind = kind } in
+  { func; cur = 0; blocks = [| empty_block () |]; rev = [| [] |]; nblocks = 1 }
 
 let fresh t = fresh_reg t.func
 
 let new_block t =
-  let b = add_block t.func { instrs = []; term = Ret None } in
-  t.rev <- Array.append t.rev [| [] |];
-  b
+  let n = t.nblocks in
+  if n = Array.length t.blocks then begin
+    let blocks = Array.make (2 * n) t.blocks.(0) and rev = Array.make (2 * n) [] in
+    Array.blit t.blocks 0 blocks 0 n;
+    Array.blit t.rev 0 rev 0 n;
+    t.blocks <- blocks;
+    t.rev <- rev
+  end;
+  t.blocks.(n) <- empty_block ();
+  t.nblocks <- n + 1;
+  n
 
 let position_at t b = t.cur <- b
 
@@ -61,7 +70,7 @@ let call_void t name args = insert t (Call (None, name, args))
 
 let launch t ~kernel ~trip ~args = insert t (Launch { kernel; trip; args })
 
-let set_term t tm = t.func.blocks.(t.cur).term <- tm
+let set_term t tm = t.blocks.(t.cur).term <- tm
 
 let br t b = set_term t (Br b)
 
@@ -70,5 +79,7 @@ let cbr t v b1 b2 = set_term t (Cbr (v, b1, b2))
 let ret t v = set_term t (Ret v)
 
 let finish t =
-  Array.iteri (fun i b -> b.instrs <- List.rev t.rev.(i)) t.func.blocks;
+  let blocks = Array.sub t.blocks 0 t.nblocks in
+  Array.iteri (fun i b -> b.instrs <- List.rev t.rev.(i)) blocks;
+  t.func.blocks <- blocks;
   t.func

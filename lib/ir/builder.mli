@@ -1,7 +1,7 @@
 (** Imperative function builder used by the frontend lowering and by
     tests constructing IR by hand. Instructions accumulate per block; the
     insertion point moves freely between blocks; {!finish} writes the
-    accumulated lists into the function. *)
+    blocks and their accumulated lists into the function. *)
 
 type t
 
@@ -10,6 +10,8 @@ val create : name:string -> nargs:int -> kind:Ir.fkind -> t
 
 val fresh : t -> int
 val new_block : t -> int
+(** A new empty block's index; amortised constant time. *)
+
 val position_at : t -> int -> unit
 val insert : t -> Ir.instr -> unit
 

@@ -334,6 +334,21 @@ let[@inline] h_valid h t addr len =
 
 let[@inline] handle_base h = h.base
 
+(* A per-site handle cache is a [block array] here, so reading a slot is
+   a plain load and writing one a plain [caml_modify]; outside, behind
+   the abstract [handle], both would take the generic (float-checked)
+   array path. *)
+let[@inline] site_handle hs site : handle = Array.unsafe_get hs site
+
+let[@inline] cached_handle hs site t addr len what =
+  let h = Array.unsafe_get hs site in
+  if h_valid h t addr len then h
+  else begin
+    let h = acquire_handle t addr len what in
+    Array.unsafe_set hs site h;
+    h
+  end
+
 let[@inline] ld_u8 h addr = Char.code (Bytes.unsafe_get h.data (addr - h.base))
 
 let[@inline] ld_i64 h addr = Bytes.get_int64_le h.data (addr - h.base)

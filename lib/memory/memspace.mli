@@ -71,8 +71,9 @@ val load_string : t -> int -> string
 
     The fast path for code that repeatedly touches the same allocation
     unit (the closure-compiled interpreter, which keeps a handle per
-    access site). A handle is the resolved unit. The caller revalidates
-    it with {!h_valid}, one range-and-liveness test, instead of the tree
+    access site in a cache array, read through {!cached_handle}). A
+    handle is the resolved unit. It is revalidated with {!h_valid}, one
+    range-and-liveness test, instead of the tree
     lookup plus span check, then reads and writes through the [ld_*] and
     [st_*] accessors, which record each write's dirty span as the
     checked stores do. The accessors are [[@inline]] and the build
@@ -86,16 +87,23 @@ type handle
 val null_handle : handle
 (** A handle that never validates — the initial value of handle caches. *)
 
-val acquire_handle : t -> int -> int -> string -> handle
-(** [acquire_handle t addr len what] resolves and span-checks once;
-    faults exactly as the checked accessors would. *)
-
 val h_valid : handle -> t -> int -> int -> bool
 (** [h_valid h t addr len]: [h] is live, belongs to [t], and
     [\[addr, addr+len)] lies inside it. The accessors below assume it. *)
 
 val handle_base : handle -> int
 (** The base address of the handle's unit. *)
+
+val cached_handle : handle array -> int -> t -> int -> int -> string -> handle
+(** [cached_handle hs site t addr len what] is the handle cached in slot
+    [site] of [hs] when it is valid for the access, else the unit
+    containing [addr], resolved and span-checked once (faulting exactly
+    as the checked accessors would), which replaces it. Inside this
+    module the cache's element type is known, so a slot read is one
+    load. *)
+
+val site_handle : handle array -> int -> handle
+(** [site_handle hs site] is the handle cached in slot [site] of [hs]. *)
 
 val ld_u8 : handle -> int -> int
 val ld_i64 : handle -> int -> int64

@@ -167,9 +167,38 @@ let test_helpers () =
   check Alcotest.(option int) "launch no def" None (Ir.def_of_instr l);
   check Alcotest.int "launch uses" 2 (List.length (Ir.uses_of_instr l))
 
+(* Adding a block is amortised constant time: building a chain of 2n
+   blocks allocates about twice the minor-heap words of n blocks, where
+   copying the block arrays per added block makes it about four times.
+   n stays small enough that every array fits the minor heap (larger
+   ones go straight to the major heap, where this count would not see
+   them); the count is deterministic. *)
+let chain_words n =
+  let w0 = Gc.minor_words () in
+  let b = Builder.create ~name:"chain" ~nargs:1 ~kind:Ir.Cpu in
+  for _ = 1 to n do
+    let next = Builder.new_block b in
+    ignore (Builder.binop b Ir.Add (Ir.Reg 0) (Ir.imm 1));
+    Builder.br b next;
+    Builder.position_at b next
+  done;
+  Builder.ret b None;
+  let f = Builder.finish b in
+  let w = Gc.minor_words () -. w0 in
+  check Alcotest.int "blocks" (n + 1) (Array.length f.Ir.blocks);
+  w
+
+let test_builder_linear () =
+  let n = 120 in
+  let ratio = chain_words (2 * n) /. chain_words n in
+  if ratio > 2.5 then
+    Alcotest.failf "2n blocks allocate %.2f times the words of n (bound 2.5)" ratio
+
 let tests =
   [
     Alcotest.test_case "builder diamond" `Quick test_builder_diamond;
+    Alcotest.test_case "builder: new_block is amortised constant time" `Quick
+      test_builder_linear;
     Alcotest.test_case "preds + rpo" `Quick test_preds_rpo;
     Alcotest.test_case "dominance" `Quick test_dominance;
     Alcotest.test_case "verifier accepts" `Quick test_verifier_accepts;

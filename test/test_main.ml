@@ -18,6 +18,7 @@ let () =
       ("bench-progs", Test_bench_progs.tests);
       ("edge", Test_edge.tests);
       ("fastpath", Test_fastpath.tests);
+      ("addr-shapes", Test_addr_shapes.tests);
       ("prepared", Test_prepared.tests);
       ("parallel", Test_parallel.tests);
       ("reader", Test_reader.tests);

@@ -141,6 +141,15 @@ let test_faulty_parallel () =
         [ 1; 7; 42 ])
     [ "gemm"; "jacobi-2d-imper"; "nw" ]
 
+(* The address-shape probes (see [Test_addr_shapes]) under the
+   Parallel engine: the shards' logged stores read their addresses
+   through the same decoded chains. Jobs 0 resolves via CGCM_JOBS. *)
+let test_addr_shapes () =
+  List.iter
+    (fun jobs ->
+      List.iter (Test_addr_shapes.check_probe ~jobs Interp.Parallel) Test_addr_shapes.probes)
+    [ 2; 4; 0 ]
+
 let tests =
   List.map
     (fun (name, src) ->
@@ -151,6 +160,8 @@ let tests =
       Alcotest.test_case "jobs=1 is the closure engine" `Quick
         test_jobs1_is_closures;
       Alcotest.test_case "domain pool engages" `Quick test_pool_engages;
+      Alcotest.test_case "address shapes: parallel vs tree" `Quick
+        test_addr_shapes;
       Alcotest.test_case "sanitized parallel agrees" `Quick
         test_sanitized_parallel;
       Alcotest.test_case "fault soak parallel vs closures" `Slow

@@ -240,6 +240,43 @@ let test_variant_refused () =
   check_same "run-time inputs" (Interp.run ~config:other m)
     (Interp.run_program ~config:other p)
 
+(* Minor-heap words per [Interp.prepare] of the 16 PolyBench generators
+   at n = 8, by variant (compile excluded): the decode work on a cold
+   serve request. The count is deterministic for one binary. Measured
+   before address chains were flattened at decode time, as below; the
+   bound is that measurement plus a third. *)
+let prepare_words =
+  [ ("opt", 24_967.); ("unopt", 23_389.); ("opt+paged", 25_100.); ("seq", 20_059.) ]
+
+let prepare_words_headroom = 1.33
+
+let test_prepare_allocation_budget () =
+  let module P = Cgcm_progs.Polybench in
+  let sources =
+    [
+      P.adi ~n:8 (); P.atax ~n:8 (); P.bicg ~n:8 (); P.correlation ~n:8 ();
+      P.covariance ~n:8 (); P.doitgen ~n:8 (); P.gemm ~n:8 ();
+      P.gemver ~n:8 (); P.gesummv ~n:8 (); P.gramschmidt ~n:8 ();
+      P.jacobi_2d ~n:8 (); P.seidel ~n:8 (); P.lu ~n:8 (); P.ludcmp ~n:8 ();
+      P.twomm ~n:8 (); P.threemm ~n:8 ();
+    ]
+  in
+  List.iter
+    (fun ((vname, ex, _, _) as v) ->
+      match List.assoc_opt vname prepare_words with
+      | None -> ()
+      | Some words ->
+          let config = config v in
+          let ms = List.map (fun src -> (Pipeline.compile_for ex src).Pipeline.modul) sources in
+          let w0 = Gc.minor_words () in
+          List.iter (fun m -> ignore (Interp.prepare config m)) ms;
+          let per = (Gc.minor_words () -. w0) /. float_of_int (List.length ms) in
+          let bound = prepare_words_headroom *. words in
+          if per > bound then
+            Alcotest.failf "%s: %.0f minor words per prepare (bound %.0f)" vname per
+              bound)
+    variants
+
 let tests =
   List.map
     (fun (name, src) ->
@@ -256,4 +293,6 @@ let tests =
         test_faulting_runs;
       Alcotest.test_case "a config of another variant is refused" `Quick
         test_variant_refused;
+      Alcotest.test_case "prepare allocation budget (words per prepare)" `Quick
+        test_prepare_allocation_budget;
     ]
