@@ -172,23 +172,17 @@ let bench_interp_tree =
      Bechamel.Test.make ~name:"interp-run-gemm-n6-tree"
        (Bechamel.Staged.stage (fun () -> Interp.run ~config:cfg c.Pipeline.modul)))
 
-(* A larger gemm under the closure engine and under the domain-pool
-   engine at 4 jobs: the host-parallelism A/B (trip 24 clears the
-   default sharding threshold). *)
+(* A larger gemm under the closure engine at 1 and at 4 jobs: the
+   host-parallelism A/B (trip 24 clears the default sharding
+   threshold). *)
 let bench_interp_par =
   let src = Cgcm_progs.Polybench.gemm ~n:24 () in
   lazy
     (let c = Pipeline.compile ~level:Pipeline.Optimized src in
-     let seq_cfg =
-       { Interp.default_config with Interp.engine = Interp.Closures }
-     in
-     let par_cfg =
-       { Interp.default_config with Interp.engine = Interp.Parallel; jobs = 4 }
-     in
+     let par_cfg = { Interp.default_config with Interp.jobs = 4 } in
      [
        Bechamel.Test.make ~name:"interp-run-gemm-n24"
-         (Bechamel.Staged.stage (fun () ->
-              Interp.run ~config:seq_cfg c.Pipeline.modul));
+         (Bechamel.Staged.stage (fun () -> Interp.run c.Pipeline.modul));
        Bechamel.Test.make ~name:"interp-run-gemm-n24-par-j4"
          (Bechamel.Staged.stage (fun () ->
               Interp.run ~config:par_cfg c.Pipeline.modul));

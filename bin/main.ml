@@ -64,37 +64,24 @@ let trace_arg =
 let engine_arg =
   Arg.(
     value
-    & opt (some (enum [ ("closures", Interp.Closures);
-                        ("tree", Interp.Tree_walk);
-                        ("parallel", Interp.Parallel) ])) None
+    & opt (enum [ ("closures", Interp.Closures); ("tree", Interp.Tree_walk) ])
+        Interp.default_config.Interp.engine
     & info [ "engine" ]
         ~doc:
-          "Interpreter engine: closures (default), tree, or parallel (the \
-           closure engine sharding kernel launches across a domain pool). \
-           $(b,--jobs) implies parallel.")
+          "Interpreter engine: closures or tree (the reference tree-walking \
+           interpreter, always sequential).")
 
 let jobs_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt int Interp.default_config.Interp.jobs
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Domains for the parallel engine; selects $(b,--engine parallel) \
-           unless an engine is given explicitly. 0 picks an automatic count \
-           (the CGCM_JOBS environment variable when set, otherwise the \
-           machine's recommended domain count); 1 is the exact sequential \
-           closure path.")
-
-(* --jobs without --engine means the parallel engine; CGCM_JOBS alone
-   only sizes the pool once that engine is selected. *)
-let resolve_engine engine jobs =
-  let engine =
-    match (engine, jobs) with
-    | Some e, _ -> e
-    | None, Some _ -> Interp.Parallel
-    | None, None -> Interp.default_config.Interp.engine
-  in
-  (engine, Option.value jobs ~default:0)
+          "Domains that run the closure engine's kernel launches: 1 runs \
+           them sequentially, 0 picks an automatic count (the CGCM_JOBS \
+           environment variable when set, otherwise the machine's \
+           recommended domain count). Outputs and simulated numbers do not \
+           depend on it. $(b,--engine tree) accepts only 1.")
 
 let profile_arg =
   Arg.(
@@ -162,7 +149,11 @@ type run_opts = {
 
 let run_opts_term =
   let make engine jobs backend page_bytes =
-    let engine, jobs = resolve_engine engine jobs in
+    if engine = Interp.Tree_walk && jobs <> 1 then begin
+      Fmt.epr "cgcm: --engine tree runs sequentially; --jobs %d needs the \
+               closure engine@." jobs;
+      exit Cgcm_core.Diagnostics.exit_usage
+    end;
     { engine; jobs; backend; page_bytes }
   in
   Term.(const make $ engine_arg $ jobs_arg $ backend_arg $ page_bytes_arg)
@@ -613,7 +604,7 @@ let fuzz_cmd =
       value & opt int 4
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Domains for the parallel-engine configuration of each \
+            "Domains for the sharded configuration (opt/parallel) of each \
              differential check (default 4 so kernels shard even on \
              single-core hosts)")
   in

@@ -29,7 +29,7 @@ val run_program :
   prog_result
 (** Run one program under all four configurations. [engine], [jobs],
     [backend] and [page_bytes] pass through to {!Pipeline.run} ([backend]
-    shapes only the split-memory configurations). *)
+    shapes only the split-memory configurations, [jobs] only host time). *)
 
 val run_suite :
   ?cost:Cgcm_gpusim.Cost_model.t ->

@@ -173,7 +173,7 @@ let compile_for ?plan ?hooks execution source =
 
 let config ?(cost = Cgcm_gpusim.Cost_model.default) ?(trace = false)
     ?(engine = Interp.default_config.Interp.engine) ?faults ?device_mem
-    ?page_bytes ?(paranoid = false) ?(sanitize = false) ?(jobs = 0)
+    ?page_bytes ?(paranoid = false) ?(sanitize = false) ?(jobs = 1)
     ?(backend = Mem_backend.Explicit) execution : Interp.config =
   let s = shape execution in
   let cost =

@@ -108,7 +108,8 @@ val config :
     {!Interp.default_config}'s values.
 
     [engine] selects the interpreter engine (default
-    {!Interp.default_config}'s, i.e. the closure-compiled one). Dirty-span
+    {!Interp.default_config}'s, i.e. the closure-compiled one) and [jobs]
+    its host parallelism (default 1, see {!Interp.config}). Dirty-span
     transfers follow the {!shape}: on for {!Cgcm_optimized} only, so
     {!Cgcm_unoptimized} keeps the paper's whole-unit protocol and the
     Figure 4 contrast measures what the paper measures.

@@ -108,9 +108,9 @@ let same_type_src p ~tgt ~src =
 
 (* `parallel for` is a trusted assertion of iteration independence; the
    engines only stay differentially comparable on programs where the
-   assertion is true (the parallel engine really does shard annotated
-   launches across domains). A phase whose resolved source aliases its
-   target with a cross-iteration index pattern must therefore drop the
+   assertion is true (at jobs > 1 the closure engine really does shard
+   annotated launches across domains). A phase whose resolved source
+   aliases its target with a cross-iteration index pattern must drop the
    annotation — re-decided at render time, because shrinking drops
    arrays and re-resolves sources, which can introduce such aliasing. *)
 let honest l ~racy = if racy then { l with par = false } else l
@@ -333,28 +333,30 @@ type failure = {
 (* The paged-backend rows run the same split-memory modules under
    touch-driven page migration; the sanitizer is inert there (one memory,
    nothing to keep coherent), so their oracle is pure bit-identity plus
-   the always-clean paged leak report. *)
+   the always-clean paged leak report. The last field marks the row whose
+   kernel launches shard across domains. *)
 let configs =
   [
     ("unopt/closures", Pipeline.Cgcm_unoptimized, Interp.Closures,
-     Mem_backend.Explicit);
+     Mem_backend.Explicit, false);
     ("unopt/tree-walk", Pipeline.Cgcm_unoptimized, Interp.Tree_walk,
-     Mem_backend.Explicit);
+     Mem_backend.Explicit, false);
     ("opt/closures", Pipeline.Cgcm_optimized, Interp.Closures,
-     Mem_backend.Explicit);
+     Mem_backend.Explicit, false);
     ("opt/tree-walk", Pipeline.Cgcm_optimized, Interp.Tree_walk,
-     Mem_backend.Explicit);
-    ("opt/parallel", Pipeline.Cgcm_optimized, Interp.Parallel,
-     Mem_backend.Explicit);
+     Mem_backend.Explicit, false);
+    ("opt/parallel", Pipeline.Cgcm_optimized, Interp.Closures,
+     Mem_backend.Explicit, true);
     ("unified-oracle", Pipeline.Unified_oracle Pipeline.Optimized,
-     Interp.Closures, Mem_backend.Explicit);
+     Interp.Closures, Mem_backend.Explicit, false);
     ("inspector-executor", Pipeline.Inspector_executor_exec, Interp.Closures,
-     Mem_backend.Explicit);
+     Mem_backend.Explicit, false);
     ("unopt/paged", Pipeline.Cgcm_unoptimized, Interp.Closures,
-     Mem_backend.Paged);
-    ("opt/paged", Pipeline.Cgcm_optimized, Interp.Closures, Mem_backend.Paged);
+     Mem_backend.Paged, false);
+    ("opt/paged", Pipeline.Cgcm_optimized, Interp.Closures, Mem_backend.Paged,
+     false);
     ("opt/paged/tree-walk", Pipeline.Cgcm_optimized, Interp.Tree_walk,
-     Mem_backend.Paged);
+     Mem_backend.Paged, false);
   ]
 
 let check_source ?(jobs = 4) (src : string) : failure option =
@@ -371,18 +373,17 @@ let check_source ?(jobs = 4) (src : string) : failure option =
   match run_one "sequential" (fun () -> snd (Pipeline.run Pipeline.Sequential src)) with
   | Error f -> Some f
   | Ok reference ->
-    let check_one (name, exec, engine, backend) =
-      (* The parallel engine runs with a forced job count (auto would be 1
+    let check_one (name, exec, engine, backend, sharded) =
+      (* The sharded row runs with a forced job count (auto would be 1
          on a single-core host, never sharding) and a floor-level trip
          threshold, so the fuzzer exercises real cross-domain kernel
          execution under the sanitizer even on small generated loops. *)
       let jobs, cost =
-        match engine with
-        | Interp.Parallel ->
+        if sharded then
           ( jobs,
             { Cgcm_gpusim.Cost_model.default with
               Cgcm_gpusim.Cost_model.par_min_trip = 2 } )
-        | _ -> (0, Cgcm_gpusim.Cost_model.default)
+        else (1, Cgcm_gpusim.Cost_model.default)
       in
       match
         run_one name (fun () ->
@@ -534,8 +535,8 @@ let check_plans ~rounds ~seed (src : string) : failure option =
 
 (* Differential check: sequential reference vs unoptimized/optimized x
    closures/tree-walk/parallel (sanitizer armed), the unified oracle
-   and the inspector-executor baseline. The parallel engine runs with
-   [jobs] domains (default 4 — the auto count would be 1 on a
+   and the inspector-executor baseline. The parallel row runs the
+   closure engine at [jobs] (default 4 — the auto count would be 1 on a
    single-core host, never sharding) and a floor-level trip threshold
    so small generated loops still shard.
 

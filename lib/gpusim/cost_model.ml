@@ -20,7 +20,7 @@ type t = {
   runtime_call_overhead : float;  (* one CGCM run-time library call *)
   device_mem_bytes : int;  (* device global-memory capacity *)
   par_min_trip : int;
-      (* host-side parallel engine: launches with fewer iterations than
+      (* sharded host launches (jobs > 1): launches with fewer iterations than
          this run sequentially rather than paying domain-pool overhead *)
   page_bytes : int;  (* paged backend: migration granularity *)
   page_fault_cycles : float;

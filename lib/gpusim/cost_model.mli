@@ -24,7 +24,7 @@ type t = {
       (** device global-memory capacity; [max_int] (the default) is
           effectively unbounded *)
   par_min_trip : int;
-      (** host-side parallel engine: launches with fewer iterations than
+      (** sharded host launches (jobs > 1): launches with fewer iterations than
           this run sequentially rather than paying domain-pool
           overhead *)
   page_bytes : int;

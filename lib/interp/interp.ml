@@ -11,7 +11,7 @@
                output under [Unified] as the untransformed program — the
                differential tests lean on this.
 
-   Three execution engines:
+   Two execution engines:
    - [Closures]  the default: each function is pre-decoded once per
                  prepared program ([prepare]; [run] prepares afresh) into
                  an array of closures (threaded-code style) with the
@@ -30,16 +30,13 @@
    - [Tree_walk] the original AST interpreter, kept for differential
                  testing: both engines must produce bit-identical outputs,
                  stats, and traces on every program.
-   - [Parallel]  the closure engine plus a host-side domain pool for
-                 kernel launches: DOALL iterations are independent by
-                 construction (that is what makes them GPU-legal), so a
-                 launch's trip count is statically chunked across
-                 [config.jobs] domains, each executing its contiguous
-                 slice on a private shard machine (own site caches, the
-                 program's shared code); the join barrier merges shard
-                 state back in shard (= iteration) order, keeping results
-                 bit-identical to [Closures]. See exec_launch_parallel
-                 below. *)
+   At [config.jobs] <> 1 the closure engine shards kernel launches across
+   a domain pool: DOALL iterations are independent by construction (that
+   is what makes them GPU-legal), so each domain runs a contiguous chunk
+   of the trip count on a private shard machine (own site caches, the
+   program's shared code), and the join merges shard state in iteration
+   order, keeping results bit-identical to jobs = 1. See
+   exec_launch_parallel below. *)
 
 module Ir = Cgcm_ir.Ir
 module Memspace = Cgcm_memory.Memspace
@@ -75,7 +72,7 @@ let is_out_of_fuel = function Exec_error m -> m = fuel_message | _ -> false
      DOALL-parallelized module, with no CGCM management. *)
 type mode = Split | Unified | Inspector_executor
 
-type engine = Closures | Tree_walk | Parallel
+type engine = Closures | Tree_walk
 
 type config = {
   mode : mode;
@@ -96,9 +93,9 @@ type config = {
      with a byte-version map and fail fast on stale reads, lost updates,
      premature releases and double frees (Split mode only) *)
   sanitize : bool;
-  (* Parallel engine only: how many domains execute kernel launches
-     (0 = CGCM_JOBS / Domain.recommended_domain_count). With jobs = 1
-     the Parallel engine is exactly the sequential closure engine. *)
+  (* closure engine only: how many domains execute kernel launches
+     (0 = CGCM_JOBS / Domain.recommended_domain_count); jobs = 1 runs
+     every launch sequentially *)
   jobs : int;
   (* memory backend (Split mode only): [Explicit] is the CGCM-managed
      split-memory model; [Paged] is a single shared address space with
@@ -119,7 +116,7 @@ let default_config =
     faults = None;
     paranoid = false;
     sanitize = false;
-    jobs = 0;
+    jobs = 1;
     backend = Mem_backend.Explicit;
   }
 
@@ -198,6 +195,7 @@ type variant = {
   v_backend : Mem_backend.kind;
   v_sanitize : bool;
   v_engine : engine;
+  v_shard : bool;  (* launches may shard: the closure engine at jobs <> 1 *)
 }
 
 let variant_of (c : config) =
@@ -206,10 +204,11 @@ let variant_of (c : config) =
     v_backend = c.backend;
     v_sanitize = c.sanitize;
     v_engine = c.engine;
+    v_shard = c.engine = Closures && c.jobs <> 1;
   }
 
 (* Frame state threaded through compiled closures: one per call of a CPU
-   function, and one per kernel launch (per shard under [Parallel]) that
+   function, and one per kernel launch (per shard when it shards) that
    every thread of the launch reuses. Decoded code is shared by every run
    of its program, so what belongs to one run reaches it through here:
    the machine, and the machine's per-site cache arrays. *)
@@ -258,9 +257,9 @@ and cfunc = {
 (* What a launch needs of its kernel, resolved by [prepare]. *)
 and kernel = {
   kf : Ir.func;
-  kcode : cfunc option;  (* closure engines *)
+  kcode : cfunc option;  (* closure engine *)
   kshard : (string list * cfunc) option;
-      (* Parallel, when every launch of the kernel may shard across
+      (* [v_shard], when every launch of the kernel may shard across
          domains (see kernel_shardable): the globals it can reference and
          its logged-store variant *)
   krw : Modref.rw option;  (* sanitizer: the kernel's static read/write sets *)
@@ -272,9 +271,9 @@ and program = {
   pm : Ir.modul;
   pv : variant;
   pfuncs : (string, Ir.func) Hashtbl.t;
-  pcode : (string, cfunc) Hashtbl.t;  (* closure engines: every function *)
+  pcode : (string, cfunc) Hashtbl.t;  (* closure engine: every function *)
   plog : (string, cfunc) Hashtbl.t;
-      (* Parallel: the logged-store variant of every function a shardable
+      (* [v_shard]: the logged-store variant of every function a shardable
          kernel can reach, shard machines' code *)
   pkernels : (string, kernel) Hashtbl.t;
   nhandle : int;  (* load/store sites *)
@@ -325,8 +324,8 @@ and machine = {
   gcells : int array;
   (* per paged-touch site: its residency cache *)
   psites : Paged.site array;
-  (* ---- parallel engine ---- *)
-  (* resolved job count: > 1 only for the Parallel engine *)
+  (* ---- sharded launches ---- *)
+  (* resolved job count: > 1 only when the program's launches may shard *)
   jobs : int;
   (* persistent per-domain shard machines, grown on demand; each holds
      its own site caches, output buffer and dirty log *)
@@ -408,7 +407,7 @@ let global_addr mc g =
   if mc.in_kernel && explicit mc then begin
     match mc.shard_log with
     | Some _ -> (
-      (* Parallel shard: the pre-launch check guarantees every global the
+      (* a shard machine: the pre-launch check guarantees every global the
          kernel can reference is already device-resident, so resolution
          is a pure table lookup — the driver and run-time are not
          domain-safe and must not run here. For a resident global the
@@ -662,7 +661,7 @@ let is_builtin name =
 
 (* ------------------------------------------------------------------ *)
 (* Static per-function analysis, shared by the closure decoder and the
-   parallel engine's shardability check.
+   shardability check.
 
    The closure engine runs a function only when its registers are
    single-assignment and every use in a reachable block is dominated by
@@ -834,7 +833,7 @@ let layout_func (f : Ir.func) (a : fanalysis) : layout =
   { reg; promo; nbox = !nbox; nint = !nint; nflt = !nflt }
 
 (* ------------------------------------------------------------------ *)
-(* Parallel-engine shardability.
+(* Launch shardability.
 
    A kernel may execute across domains only when every iteration's work
    is confined to shard-private state plus race-free shared state:
@@ -1762,12 +1761,12 @@ and launch mc (k : kernel) ~trip ~args =
       else None
     in
     mc.in_kernel <- true;
-    (* The Parallel engine shards a launch across the domain pool when
-       the launch is worth it (trip over the cost-model threshold), the
-       kernel is statically shardable, and every global it can touch is
-       already device-resident (so shard-side resolution is pure). A
-       launch that fails any test takes the sequential path — which is
-       why jobs = 1 is exactly the closure engine. *)
+    (* A launch shards across the domain pool when the machine has more
+       than one job, the launch is worth it (trip over the cost-model
+       threshold), the kernel is statically shardable, and every global
+       it can touch is already device-resident (so shard-side resolution
+       is pure). A launch that fails any test takes the sequential path,
+       the only one at jobs = 1. *)
     let shard =
       match k.kshard with
       | Some (gs, cf)
@@ -1871,20 +1870,19 @@ and launch mc (k : kernel) ~trip ~args =
       mc.now <- Device.sync mc.dev ~now:mc.now
   end
 
-(* Engine dispatch for an internal (non-kernel) function call. The
-   Parallel engine is the closure engine everywhere except inside
-   exec_launch; a shard machine runs the logged-store code. *)
+(* Engine dispatch for an internal (non-kernel) function call; a shard
+   machine runs the logged-store code. *)
 and call_func mc (f : Ir.func) (args : rtval array) : rtval option =
   match mc.engine with
   | Tree_walk -> exec_func mc f args
-  | Closures | Parallel ->
+  | Closures ->
     let code =
       if Option.is_some mc.shard_log then mc.prog.plog else mc.prog.pcode
     in
     exec_compiled mc (Hashtbl.find code f.Ir.fname) args
 
 (* ------------------------------------------------------------------ *)
-(* The parallel engine: shard a DOALL launch across the domain pool     *)
+(* Sharded launches: run a DOALL launch across the domain pool         *)
 
 (* Grow the persistent shard-machine array to [n]. A shard machine
    shares the program, memory spaces, device, cost model and sanitizer
@@ -2378,7 +2376,7 @@ and decode_load dc d ty a : cinstr =
       set_i c.iv o (Int64.of_int (Memspace.ld_u8 h addr))
   | _ -> assert false (* the layout gives f64 loads a Flt slot, others Int *)
 
-(* Logged stores, the shard machines' code (parallel engine): identical
+(* Logged stores, the shard machines' code: identical
    to the sequential paths below except that the order-sensitive
    dirty-span bookkeeping is appended to the shard's private log (the
    Bytes write itself happens immediately) for replay at the join. Shards
@@ -2623,7 +2621,7 @@ let ill_formed (f : Ir.func) =
 (* Decode [m] for [config]'s variant. Every function gets its cfunc
    first, so a body can resolve any callee or kernel while it is decoded;
    then the bodies fill their block arrays. A function the closure
-   engines refuse keeps what refusing it raised in [cerr]. *)
+   engine refuses keeps what refusing it raised in [cerr]. *)
 let prepare (config : config) (m : Ir.modul) : program =
   let funcs = Hashtbl.create 32 in
   List.iter (fun (f : Ir.func) -> Hashtbl.replace funcs f.Ir.fname f) m.Ir.funcs;
@@ -2688,7 +2686,8 @@ let prepare (config : config) (m : Ir.modul) : program =
         f
     end
   in
-  let closures = config.engine <> Tree_walk in
+  let pv = variant_of config in
+  let closures = config.engine = Closures in
   if closures then List.iter shell m.Ir.funcs;
   List.iter
     (fun (f : Ir.func) ->
@@ -2696,9 +2695,9 @@ let prepare (config : config) (m : Ir.modul) : program =
         let kcode = if closures then Hashtbl.find_opt pcode f.Ir.fname else None in
         let kshard =
           match kcode with
-          | Some { cerr = None; _ } when config.engine = Parallel -> (
+          | Some { cerr = None; _ } when pv.v_shard -> (
             (* a kernel the check cannot analyse runs sequentially, where
-               decoding it faults as under [Closures] *)
+               decoding it faults as at jobs = 1 *)
             match kernel_shardable ~funcs f with
             | Some gs ->
               logged f;
@@ -2728,7 +2727,7 @@ let prepare (config : config) (m : Ir.modul) : program =
     (List.rev !bodies);
   {
     pm = m;
-    pv = variant_of config;
+    pv;
     pfuncs = funcs;
     pcode;
     plog;
@@ -2744,8 +2743,8 @@ let prepare (config : config) (m : Ir.modul) : program =
 let execute (config : config) (p : program) =
   if variant_of config <> p.pv then
     invalid_arg
-      "Interp.run_program: the config's mode, backend, sanitize or engine \
-       differs from the program's";
+      "Interp.run_program: the config's mode, backend, sanitize, engine or \
+       sharding (jobs = 1 or not) differs from the program's";
   let host =
     Memspace.create ~name:"host" ~range_lo:0x10_0000 ~range_hi:0x4000_0000_00
   in
@@ -2804,11 +2803,9 @@ let execute (config : config) (p : program) =
       gcells = Array.make (3 * p.ngaddr) (-1);
       psites = Array.init p.npaged (fun _ -> Paged.site ());
       jobs =
-        (match config.engine with
-        | Parallel ->
-          if config.jobs > 0 then min config.jobs Pool.max_jobs
-          else Pool.default_jobs ()
-        | Closures | Tree_walk -> 1);
+        (if not p.pv.v_shard then 1
+         else if config.jobs > 0 then min config.jobs Pool.max_jobs
+         else Pool.default_jobs ());
       shards = [||];
       shard_log = None;
       shard_prints = [];

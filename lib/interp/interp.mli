@@ -31,7 +31,7 @@ exception Exec_error of string
 (** Raised on dynamic errors the memory model does not already catch:
     division by zero, type confusion (float used as pointer), calls to
     unknown functions, fuel exhaustion, arity mismatches, and (closure
-    engines) functions not in SSA form. *)
+    engine) functions not in SSA form. *)
 
 val is_out_of_fuel : exn -> bool
 (** The run used up [config.fuel]: the [Exec_error] an instruction
@@ -60,18 +60,8 @@ type mode = Split | Unified | Inspector_executor
       [Exec_error] when it is first called or launched.
     - {!Tree_walk} — the original AST interpreter, kept for differential
       testing: both engines must produce bit-identical outputs, stats,
-      and traces on every program.
-    - {!Parallel} — the closure engine plus a persistent domain pool
-      (see {!Cgcm_support.Pool}): each eligible kernel launch statically
-      chunks its DOALL trip count across [config.jobs] domains, each
-      running the program's shared code on a machine with its own site
-      caches, and a join barrier merges
-      shard state in iteration order — outputs, stats, traces and
-      simulated timelines stay bit-identical to {!Closures}. Launches
-      below the {!Cost_model.t.par_min_trip} threshold, kernels the
-      static shardability check rejects, and everything outside kernels
-      run on the sequential closure path. *)
-type engine = Closures | Tree_walk | Parallel
+      and traces on every program. It runs sequentially at any [jobs]. *)
+type engine = Closures | Tree_walk
 
 type config = {
   mode : mode;
@@ -96,10 +86,15 @@ type config = {
           reads, lost updates, premature releases and double frees
           ({!Split} mode only; the oracle modes have nothing to check) *)
   jobs : int;
-      (** {!Parallel} engine only: domains executing kernel launches;
-          0 (the default) resolves via [CGCM_JOBS] then
-          [Domain.recommended_domain_count]. [jobs = 1] selects the
-          exact sequential closure path. *)
+      (** Domains running the closure engine's kernel launches: [1] (the
+          default) runs them sequentially, [0] resolves via [CGCM_JOBS]
+          then [Domain.recommended_domain_count]. Past 1, a domain pool
+          ({!Cgcm_support.Pool}) chunks each eligible launch's DOALL trip
+          count across machines with their own site caches, and a join
+          merges shard state in iteration order: results stay
+          bit-identical to [jobs = 1]. Launches below
+          {!Cost_model.t.par_min_trip}, kernels the static shardability
+          check rejects, and all code outside kernels run sequentially. *)
   backend : Mem_backend.kind;
       (** Memory backend, {!Split} mode only. [Explicit] (the default)
           is the CGCM-managed split-memory explicit-copy model: the
@@ -150,25 +145,27 @@ type result = {
 
 type program
 (** A module decoded for one variant of {!config}: its [mode],
-    [backend], [sanitize] and [engine]. Decoded code depends on these
-    alone; every other field (fuel, faults, cost and device memory,
-    trace, profile, dirty spans, paranoid, jobs) is a run-time input.
+    [backend], [sanitize], [engine] and whether launches may shard
+    ({!Closures} at [jobs <> 1]). Decoded code depends on these alone;
+    every other field (fuel, faults, cost and device memory, trace,
+    profile, dirty spans, paranoid, a job count past 1) is a run-time input.
     A program is never mutated once {!prepare} returns, so any number
     of runs, on any number of domains, may share it. *)
 
 val prepare : config -> Ir.modul -> program
 (** Decode every function of the module for [config]'s variant (none
     under {!Tree_walk}) and compute the per-kernel facts: shardability
-    under {!Parallel}, the sanitizer's read/write sets. A function the
-    closure engines refuse raises when it is first run, not here. The
-    module must not change while the program is in use. *)
+    and logged-store code when launches may shard, the sanitizer's
+    read/write sets. A function the closure engine refuses raises when
+    it is first run, not here. The module must not change while the
+    program is in use. *)
 
 val run_program : ?config:config -> program -> result
 (** Load the module's globals (under the explicit backend, registering
     each with the run-time: the compiler's declareGlobal calls), execute
     [main], and account timing per the configuration. Raises
     [Invalid_argument] when [config]'s variant differs from the
-    program's. *)
+    program's (a program prepared at [jobs = 1] refuses [jobs = 2]). *)
 
 val run_program_to_fault : ?config:config -> program -> result * exn option
 (** {!run_program} without losing the machine on a fault: with
@@ -176,7 +173,12 @@ val run_program_to_fault : ?config:config -> program -> result * exn option
     program — the output printed so far, the counters, the device
     residency in [leaks] — and [exit_code] is 0. If reading the faulted
     machine raises too, [e] is re-raised instead. [run_program] raises
-    [e] without building a result. *)
+    [e] without building a result. At a fault the closure engine has
+    counted the whole straight-line run that holds the faulting
+    instruction; on fuel exhaustion it stops before the run it cannot
+    pay for. So its [cpu_insts] and [kernel_insts] differ from the tree
+    engine's by less than one block, at any [jobs], except that a
+    sharded launch that runs out of fuel counts its chunks whole. *)
 
 val run : ?config:config -> Ir.modul -> result
 (** [run_program (prepare config m)]. *)

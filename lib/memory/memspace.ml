@@ -369,7 +369,7 @@ let[@inline] st_i64 h addr v =
 let[@inline] st_f64 h addr v = st_i64 h addr (Int64.bits_of_float v)
 
 (* ------------------------------------------------------------------ *)
-(* Deferred dirty logging: the parallel kernel engine                  *)
+(* Deferred dirty logging: sharded kernel launches                     *)
 
 (* The dirty-span accumulator above is order-dependent mutable state
    (head interval, retirement, collapse), so shards of a parallel kernel

@@ -22,7 +22,7 @@
 
     Fork-based: callable only from a process that has not spawned
     domains (the [cgcm chaos] CLI qualifies; the alcotest suite, which
-    runs the multicore engine first, does not). *)
+    shards kernel launches across domains first, does not). *)
 
 type config = {
   ch_seed : int;

@@ -113,7 +113,7 @@ let run ~jobs n task =
     let jobs = min jobs max_jobs in
     Mutex.lock t.lock;
     ensure_workers t (jobs - 1);
-    (* One batch at a time: the parallel engine's owner is
+    (* One batch at a time: a sharded launch's owner is
        single-threaded outside the pool, so a nested or concurrent batch
        indicates a bug. *)
     assert (t.current = None);

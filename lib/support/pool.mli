@@ -1,5 +1,5 @@
 (** The process-wide domain pool for data-parallel batches, used by the
-    parallel kernel engine.
+    interpreter's sharded kernel launches ([jobs > 1]).
 
     There is one pool and no instances. Its worker domains are spawned
     lazily (on the first batch that needs them, up to [max_jobs - 1])

@@ -1,5 +1,5 @@
 (* Small numeric helpers shared by the report generators, plus the
-   domain-safe counters the parallel kernel engine relies on. *)
+   domain-safe counters sharded kernel launches rely on. *)
 
 (* A counter that tolerates unsynchronized increments from many domains
    at once. Used for hot-path tallies (e.g. sanitizer access checks)

@@ -7,8 +7,8 @@
    results back through chains of its own. Every engine must end each
    probe with the same fault and output, and agree to the bit on
    clocks, instruction counts and stats wherever their accounting
-   agrees by design (see [check_probe]). The Parallel leg lives in
-   [Test_parallel]. *)
+   agrees by design (see [check_probe]). The sharded leg (jobs > 1)
+   lives in [Test_parallel]. *)
 
 module Ir = Cgcm_ir.Ir
 module Builder = Cgcm_ir.Builder
@@ -213,11 +213,11 @@ let probe_module ((_, distinct, shape) : string * bool * shape) : Ir.modul =
   Verifier.verify_modul m;
   m
 
-(* Sharding engages at two iterations, so the Parallel leg really runs
+(* Sharding engages at two iterations, so the sharded leg really runs
    the probes' kernels across domains. *)
 let cost = { Cost_model.default with Cost_model.par_min_trip = 2 }
 
-let config ?(jobs = 0) ~backend engine =
+let config ?(jobs = 1) ~backend engine =
   {
     Interp.default_config with
     Interp.engine;
@@ -232,21 +232,22 @@ let run config m =
   let r, e = Interp.run_to_fault ~config m in
   (r, Option.map Printexc.to_string e)
 
-(* [probe] under [engine] against the tree engine, on both backends.
-   Every run must end the same way, with the same output. Where the
-   engines' accounting agrees by design, all of the result must be
-   bit-identical: under the explicit backend, when the probe runs to
-   the end. The tree engine's allocas are real memory, so paged page
-   traffic is engine-relative; there the Parallel engine is held to
-   the closure engine instead. A mid-kernel fault stops the tree engine
-   mid-run, where the closure engines have already counted the run. *)
-let check_probe ?jobs engine ((name, _, _) as probe) =
+(* [probe] under the closure engine at [jobs] (default 1) against the
+   tree engine, on both backends. Every run must end the same way, with
+   the same output. Where the engines' accounting agrees by design, all
+   of the result must be bit-identical: under the explicit backend, when
+   the probe runs to the end. The tree engine's allocas are real memory,
+   so paged page traffic is engine-relative; there a sharded run is held
+   to the closure engine at jobs 1 instead. A mid-kernel fault stops the
+   tree engine mid-run, where the closure engine has already counted the
+   run. *)
+let check_probe ?(jobs = 1) ((name, _, _) as probe) =
   let m = probe_module probe in
   List.iter
     (fun (bname, backend) ->
       let where = Printf.sprintf "%s/%s" name bname in
       let r0, e0 = run (config ~backend Interp.Tree_walk) m in
-      let r, e = run (config ?jobs ~backend engine) m in
+      let r, e = run (config ~jobs ~backend Interp.Closures) m in
       check Alcotest.(option string) (where ^ " fault") e0 e;
       check Alcotest.string (where ^ " output") r0.Interp.output r.Interp.output;
       check Alcotest.int64 (where ^ " exit code") r0.Interp.exit_code r.Interp.exit_code;
@@ -254,7 +255,7 @@ let check_probe ?jobs engine ((name, _, _) as probe) =
       | Some _, _ -> ()
       | None, Mem_backend.Explicit -> Test_prepared.check_same where r0 r
       | None, Mem_backend.Paged ->
-        if engine <> Interp.Closures then
+        if jobs <> 1 then
           Test_prepared.check_same where (fst (run (config ~backend Interp.Closures) m)) r)
     [ ("explicit", Mem_backend.Explicit); ("paged", Mem_backend.Paged) ]
 
@@ -282,5 +283,5 @@ let tests =
   :: List.map
        (fun ((name, _, _) as probe) ->
          Alcotest.test_case ("closures vs tree: " ^ name) `Quick (fun () ->
-             check_probe Interp.Closures probe))
+             check_probe probe))
        probes

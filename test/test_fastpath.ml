@@ -166,10 +166,11 @@ let prop_dirty_covers =
 (* ------------------------------------------------------------------ *)
 (* Faults inside a reused launch frame                                 *)
 
-(* A launch runs all its threads in one frame (one per shard under
-   [Parallel]). A fault at a middle thread must leave the same trace
-   under every engine: exception text, the output printed so far and
-   device residency, with every thread's allocas freed.
+(* A launch runs all its threads in one frame (one per shard at
+   jobs > 1). A fault at a middle thread must leave the same trace
+   under every engine and job count: exception text, the output printed
+   so far and device residency, with every thread's allocas freed; the
+   closure engine's counters and clock must not depend on the job count.
    Sharding is forced for every launch of two or more threads. *)
 let fault_cost = { Cost_model.default with Cost_model.par_min_trip = 2 }
 
@@ -213,7 +214,7 @@ let fault_programs =
 let fault_engines =
   [
     ("closures", Interp.Closures, 1);
-    ("parallel", Interp.Parallel, 2);
+    ("parallel", Interp.Closures, 2);
     ("tree", Interp.Tree_walk, 1);
   ]
 
@@ -260,6 +261,17 @@ let test_faults_in_launch_frame () =
       in
       let outcomes = List.map outcome fault_engines in
       let _, e0, r0 = List.nth outcomes 2 in
+      (* a fault's counts follow the closure engine's runs (see
+         [Interp.run_program_to_fault]), whatever the job count; only a
+         sharded launch that runs out of fuel counts its chunks whole *)
+      let _, _, (c1 : Interp.result) = List.nth outcomes 0
+      and _, _, (c2 : Interp.result) = List.nth outcomes 1 in
+      let n what = Printf.sprintf "%s/closures jobs 1 vs 2 %s" pname what in
+      check Alcotest.int (n "cpu_insts") c1.Interp.cpu_insts c2.Interp.cpu_insts;
+      if fuel = None then
+        check Alcotest.int (n "kernel_insts") c1.Interp.kernel_insts c2.Interp.kernel_insts;
+      check Alcotest.int64 (n "wall") (Int64.bits_of_float c1.Interp.wall)
+        (Int64.bits_of_float c2.Interp.wall);
       List.iter
         (fun (ename, e, (r : Interp.result)) ->
           let n what = Printf.sprintf "%s/%s %s" pname ename what in
@@ -347,9 +359,9 @@ let test_launch_arity () =
         outcomes)
     [ 0; 2 ]
 
-(* The closure engines refuse a function that is not in SSA form (here,
-   unverified IR that assigns a register twice) instead of running it:
-   its unboxed slots rely on single assignment. *)
+(* The closure engine refuses a function that is not in SSA form (here,
+   unverified IR that assigns a register twice) instead of running it,
+   at any job count: its unboxed slots rely on single assignment. *)
 let test_ill_formed_refused () =
   let m =
     Reader.parse
@@ -362,13 +374,13 @@ let test_ill_formed_refused () =
        }\n"
   in
   List.iter
-    (fun engine ->
-      let config = { Interp.default_config with Interp.engine; jobs = 2 } in
+    (fun jobs ->
+      let config = { Interp.default_config with Interp.jobs } in
       match Interp.run ~config m with
       | _ -> Alcotest.fail "ill-formed IR ran"
       | exception Interp.Exec_error e ->
         check Alcotest.bool ("refused: " ^ e) true (contains ~affix:"main: ill-formed IR" e))
-    [ Interp.Closures; Interp.Parallel ]
+    [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Type confusion through typed slots                                  *)

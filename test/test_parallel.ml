@@ -1,9 +1,9 @@
-(* Differential testing of the parallel (domain-pool) kernel engine
-   against the sequential closure engine.
+(* Differential testing of the closure engine's sharded kernel launches
+   (jobs > 1, a domain pool) against its sequential path (jobs = 1).
 
-   The parallel engine shards every eligible DOALL launch across OCaml 5
-   domains, so every program in the suite runs under both engines in
-   every execution configuration, at several job counts, and must
+   At jobs > 1 every eligible DOALL launch shards across OCaml 5
+   domains, so every program in the suite runs at jobs 1 and at several
+   job counts in every execution configuration, and must
    produce bit-identical outputs, simulated clocks, instruction counts,
    device/run-time stats, and traces — the join-order merge (output
    buffers, deferred dirty-span logs, instruction counts) is what makes
@@ -24,36 +24,41 @@ let par_cost = { Cost_model.default with Cost_model.par_min_trip = 2 }
 let test_differential (name, src) () =
   List.iter
     (fun (cname, ex) ->
-      let _, closures =
-        Pipeline.run ~cost:par_cost ~trace:true ~engine:Interp.Closures ex src
-      in
+      let _, closures = Pipeline.run ~cost:par_cost ~trace:true ex src in
       List.iter
         (fun jobs ->
-          let _, parallel =
-            Pipeline.run ~cost:par_cost ~trace:true ~engine:Interp.Parallel
-              ~jobs ex src
-          in
+          let _, parallel = Pipeline.run ~cost:par_cost ~trace:true ~jobs ex src in
           Test_fastpath.check_equal_results
             (Printf.sprintf "%s/%s/j%d" name cname jobs)
             closures parallel)
         [ 2; 4 ])
     Pipeline.executions
 
-(* --jobs 1 must select the exact sequential closure path: no pool, no
-   shards, identical everything. *)
+(* --jobs 1 is the exact sequential closure path, and the default of
+   every config builder: no pool, no shards, no shardability scan. A
+   program prepared at jobs 1 carries no sharded code, so a jobs-2
+   config is another variant and is refused rather than run. *)
 let test_jobs1_is_closures () =
+  check Alcotest.int "Interp.default_config.jobs" 1 Interp.default_config.Interp.jobs;
+  List.iter
+    (fun (name, ex) ->
+      check Alcotest.int ("Pipeline.config jobs: " ^ name) 1
+        (Pipeline.config ex).Interp.jobs)
+    Pipeline.executions;
   List.iter
     (fun pname ->
       let src = List.assoc pname Test_fastpath.small_programs in
-      let _, closures =
-        Pipeline.run ~cost:par_cost ~trace:true ~engine:Interp.Closures
-          Pipeline.Cgcm_optimized src
+      let ex = Pipeline.Cgcm_optimized in
+      let _, j1 =
+        Pipeline.run ~cost:par_cost ~trace:true ~engine:Interp.Closures ~jobs:1 ex src
       in
-      let _, parallel =
-        Pipeline.run ~cost:par_cost ~trace:true ~engine:Interp.Parallel ~jobs:1
-          Pipeline.Cgcm_optimized src
-      in
-      Test_fastpath.check_equal_results (pname ^ "/j1") closures parallel)
+      (* no engine and no jobs given: the defaults *)
+      let config = Pipeline.config ~cost:par_cost ~trace:true ex in
+      let p = Interp.prepare config (Pipeline.compile_for ex src).Pipeline.modul in
+      Test_fastpath.check_equal_results (pname ^ "/j1") j1 (Interp.run_program ~config p);
+      match Interp.run_program ~config:{ config with Interp.jobs = 2 } p with
+      | _ -> Alcotest.failf "%s: a jobs-1 program ran under jobs 2" pname
+      | exception Invalid_argument _ -> ())
     [ "gemm"; "srad"; "kmeans"; "blackscholes" ]
 
 (* Prove the pool actually engages (the differential would be vacuous if
@@ -63,10 +68,7 @@ let test_jobs1_is_closures () =
    pool must be able to bring 5 domains to bear. *)
 let test_pool_engages () =
   let src = List.assoc "gemm" Test_fastpath.small_programs in
-  let _, r =
-    Pipeline.run ~cost:par_cost ~engine:Interp.Parallel ~jobs:5
-      Pipeline.Cgcm_optimized src
-  in
+  let _, r = Pipeline.run ~cost:par_cost ~jobs:5 Pipeline.Cgcm_optimized src in
   check Alcotest.bool "ran" true (String.length r.Interp.output > 0);
   check Alcotest.bool "pool grew to 5 domains" true (Pool.size () >= 5)
 
@@ -80,12 +82,11 @@ let test_sanitized_parallel () =
     (fun pname ->
       let src = List.assoc pname Test_fastpath.small_programs in
       let _, closures =
-        Pipeline.run ~cost:par_cost ~sanitize:true ~engine:Interp.Closures
-          Pipeline.Cgcm_optimized src
+        Pipeline.run ~cost:par_cost ~sanitize:true Pipeline.Cgcm_optimized src
       in
       let _, parallel =
-        Pipeline.run ~cost:par_cost ~sanitize:true ~engine:Interp.Parallel
-          ~jobs:4 Pipeline.Cgcm_optimized src
+        Pipeline.run ~cost:par_cost ~sanitize:true ~jobs:4 Pipeline.Cgcm_optimized
+          src
       in
       check Alcotest.string (pname ^ " sanitized output") closures.Interp.output
         parallel.Interp.output;
@@ -98,11 +99,11 @@ let test_sanitized_parallel () =
           (rep.Cgcm_sanitizer.Sanitizer.r_checks > 0))
     [ "gemm"; "hotspot"; "atax" ]
 
-(* Fault-soak: the parallel engine under an injected-fault driver and a
-   tight device-memory cap must degrade exactly like the closure engine
+(* Fault-soak: sharded launches under an injected-fault driver and a
+   tight device-memory cap must degrade exactly like sequential ones
    (evictions, retries, CPU fallbacks are all main-domain work; a launch
    whose globals were evicted falls back to the sequential path and
-   re-resolves through the run-time). Both engines issue identical
+   re-resolves through the run-time). Both job counts issue identical
    driver-call sequences, so a replayable fault plan fires identically —
    including runs the driver legitimately cannot recover, which must
    fail with the same error. *)
@@ -120,34 +121,31 @@ let test_faulty_parallel () =
             Cgcm_gpusim.Faults.parse
               (Printf.sprintf "%d:alloc@1,htod@2,dtoh%%0.1,launch@1" seed)
           in
-          let attempt engine jobs =
+          let attempt jobs =
             match
-              Pipeline.run ~cost:par_cost ~engine ~jobs ~faults
+              Pipeline.run ~cost:par_cost ~jobs ~faults
                 ~device_mem:cap ~trace:true Pipeline.Cgcm_optimized src
             with
             | _, r -> Ok r
             | exception e -> Error (Printexc.to_string e)
           in
           let where = Printf.sprintf "%s/faults:%d" pname seed in
-          match (attempt Interp.Closures 0, attempt Interp.Parallel 4) with
+          match (attempt 1, attempt 4) with
           | Ok c, Ok p -> Test_fastpath.check_equal_results where c p
           | Error c, Error p -> check Alcotest.string (where ^ " error") c p
           | Ok _, Error p ->
-            Alcotest.failf "%s: closures succeeded, parallel failed: %s" where
-              p
+            Alcotest.failf "%s: jobs 1 succeeded, jobs 4 failed: %s" where p
           | Error c, Ok _ ->
-            Alcotest.failf "%s: parallel succeeded, closures failed: %s" where
-              c)
+            Alcotest.failf "%s: jobs 4 succeeded, jobs 1 failed: %s" where c)
         [ 1; 7; 42 ])
     [ "gemm"; "jacobi-2d-imper"; "nw" ]
 
-(* The address-shape probes (see [Test_addr_shapes]) under the
-   Parallel engine: the shards' logged stores read their addresses
-   through the same decoded chains. Jobs 0 resolves via CGCM_JOBS. *)
+(* The address-shape probes (see [Test_addr_shapes]) with sharded
+   launches: the shards' logged stores read their addresses through the
+   same decoded chains. Jobs 0 resolves via CGCM_JOBS. *)
 let test_addr_shapes () =
   List.iter
-    (fun jobs ->
-      List.iter (Test_addr_shapes.check_probe ~jobs Interp.Parallel) Test_addr_shapes.probes)
+    (fun jobs -> List.iter (Test_addr_shapes.check_probe ~jobs) Test_addr_shapes.probes)
     [ 2; 4; 0 ]
 
 let tests =

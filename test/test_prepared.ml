@@ -31,9 +31,9 @@ let variants =
     ("opt+sanitize", Pipeline.Cgcm_optimized, Mem_backend.Explicit, true);
   ]
 
-let config ?(engine = Interp.Closures) ?(jobs = 0) (_, ex, backend, sanitize) =
+let config ?(jobs = 1) (_, ex, backend, sanitize) =
   {
-    (Pipeline.config ~trace:true ~engine ~jobs ~sanitize ~backend ex) with
+    (Pipeline.config ~trace:true ~jobs ~sanitize ~backend ex) with
     Interp.profile = true;
   }
 
@@ -150,14 +150,14 @@ let test_first_touch () =
         variants)
     [ ("global", global_touch); ("heap page", heap_touch) ]
 
-(* Shard machines share the program's logged-store code: a prepared
-   Parallel program run twice matches a fresh run. *)
+(* Shard machines share the program's logged-store code: a program
+   prepared at jobs 2 and run twice matches a fresh run. *)
 let test_parallel_reuse () =
   List.iter
     (fun (pname, src) ->
       let v = List.hd variants in
       let m = (Pipeline.compile_for Pipeline.Cgcm_optimized src).Pipeline.modul in
-      let config = config ~engine:Interp.Parallel ~jobs:2 v in
+      let config = config ~jobs:2 v in
       let fresh = Interp.run ~config m in
       let p = Interp.prepare config m in
       for i = 1 to 2 do
