@@ -766,8 +766,9 @@ let serve_cmd =
           ~doc:
             "Worker shards: each owns a full engine (compiled-module \
              cache, warm residency, breakers, journal segment) on its own \
-             domain, with tenants hashed to shards deterministically. 1 \
-             (the default) keeps the original single-threaded loop.")
+             domain, with tenants hashed to shards deterministically. \
+             With 1 (the default) no domain is spawned: the socket loop \
+             runs the one engine between its reads.")
   in
   let f socket max_queue device_mem deadline max_retries backoff threshold
       cache_entries faults journal_path shards =

@@ -1965,7 +1965,7 @@ and exec_launch_parallel mc (cf : cfunc) ~trip ~args =
      the sequential engine runs out of fuel inside the first chunk whose
      fuel left does not cover what the earlier chunks spent, before any
      fault of that chunk, and prints only what it printed with fuel to
-     spare. *)
+     spare, and it counts no more instructions than that fuel paid for. *)
   let budget = mc.fuel in
   let used = ref 0 and total = ref 0 in
   let failure = ref None in
@@ -1980,15 +1980,16 @@ and exec_launch_parallel mc (cf : cfunc) ~trip ~args =
           (Buffer.length smc.out) smc.shard_prints
       in
       Buffer.add_string mc.out (Buffer.sub smc.out 0 keep);
+      total := !total + min smc.kernel_insts (budget - !used);
       failure := Some (Exec_error fuel_message)
     end
     else begin
       Buffer.add_buffer mc.out smc.out;
+      total := !total + smc.kernel_insts;
       failure := failures.(!s)
     end;
     Buffer.clear smc.out;
     used := !used + (budget - smc.fuel);
-    total := !total + smc.kernel_insts;
     if mc.profile_on then merge_profile mc smc;
     incr s
   done;

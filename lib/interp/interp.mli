@@ -177,8 +177,9 @@ val run_program_to_fault : ?config:config -> program -> result * exn option
     counted the whole straight-line run that holds the faulting
     instruction; on fuel exhaustion it stops before the run it cannot
     pay for. So its [cpu_insts] and [kernel_insts] differ from the tree
-    engine's by less than one block, at any [jobs], except that a
-    sharded launch that runs out of fuel counts its chunks whole. *)
+    engine's by less than one block, at any [jobs]; a sharded launch
+    that runs out of fuel counts up to the budget itself, so its
+    [kernel_insts] never passes [config.fuel]. *)
 
 val run : ?config:config -> Ir.modul -> result
 (** [run_program (prepare config m)]. *)

@@ -100,10 +100,6 @@ val shed_request :
     door-rejections here so every stat mutation happens on the engine's
     owning shard. *)
 
-val shed_draining : t -> Wire.request -> (Wire.reply -> unit) -> unit
-(** [shed_request ~reason:"draining"]: a request that arrived while the
-    daemon drains for shutdown. *)
-
 val step : t -> bool
 (** Execute one queued request, deliver its reply, and audit the shared
     residency invariants. False when the queue is empty. *)

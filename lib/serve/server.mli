@@ -15,7 +15,10 @@
 
     Ops besides "run": "ping", "shutdown" and "stats". The "stats"
     reply sums the shards' engine counters (received, ok, shed, cache
-    hits and misses, warm bytes, ...) and adds the process's own GC
+    hits and misses, warm bytes, ...). Its [pending] is the router's
+    count of posted "run" requests with no reply yet, wherever they
+    wait: in a shard's inbox, in its engine queue, or executing. It
+    adds the process's own GC
     counters once, from [Gc.quick_stat]: [gc_minor_collections],
     [gc_major_collections] and [gc_major_words] (words allocated on or
     promoted to the major heap). A shard domain's allocation joins them
