@@ -14,12 +14,11 @@
    - inbox: per-shard queue (mutex + condition) the router pushes
      decoded requests into; the worker drains it, admits every message
      through [Engine.submit] (or [Engine.shed_request], for requests
-     the router rejected at the door — draining, or the router-side
-     in-flight bound), then executes one request ([Engine.step])
-     before looking at the inbox again, so
-     admission keeps shedding while a burst drains, exactly like the
-     single-loop daemon;
-   - outbox: one shared queue of (token, shard, reply) the workers push
+     that arrived while the daemon drains), then executes one request
+     ([Engine.step]) before looking at the inbox again, so admission
+     keeps shedding while a burst drains, exactly like the single-loop
+     daemon;
+   - outbox: one shared queue of (token, reply) the workers push
      replies into, plus a self-pipe whose write end the workers poke so
      the router's [select] wakes for write-back — this is the overlap
      layer: the router keeps reading and writing sockets while shards
@@ -40,7 +39,6 @@ type msg = {
 }
 
 type shard = {
-  s_id : int;
   s_engine : Engine.t;
   s_inbox : msg Queue.t;
   s_lock : Mutex.t;
@@ -51,8 +49,7 @@ type shard = {
 
 type group = {
   g_shards : shard array;
-  g_config : Engine.config;
-  g_out : (int * int * Wire.reply) Queue.t;  (* token, shard, reply *)
+  g_out : (int * Wire.reply) Queue.t;  (* token, reply *)
   g_out_lock : Mutex.t;
   g_wake_r : Unix.file_descr option;
   g_wake_w : Unix.file_descr option;
@@ -106,7 +103,6 @@ let create ?(engine_config = Engine.default_config) ?journal_path
       (fun rp -> ignore (Engine.recover engine rp : Engine.recovery))
       replayed;
     {
-      s_id = i;
       s_engine = engine;
       s_inbox = Queue.create ();
       s_lock = Mutex.create ();
@@ -127,7 +123,6 @@ let create ?(engine_config = Engine.default_config) ?journal_path
   in
   {
     g_shards = shards;
-    g_config = engine_config;
     g_out = Queue.create ();
     g_out_lock = Mutex.create ();
     g_wake_r = wake_r;
@@ -140,7 +135,6 @@ let count g = Array.length g.g_shards
 let inline g = count g = 1
 let engine g i = g.g_shards.(i).s_engine
 let engines g = Array.map (fun s -> s.s_engine) g.g_shards
-let engine_config g = g.g_config
 let shard_of g tenant = tenant_shard ~shards:(count g) tenant
 let wake_fd g = g.g_wake_r
 
@@ -162,14 +156,14 @@ let wake g =
       (* a full pipe already guarantees a pending wake-up *)
       ())
 
-let push_reply g s token reply =
+let push_reply g token reply =
   Mutex.lock g.g_out_lock;
-  Queue.add (token, s.s_id, reply) g.g_out;
+  Queue.add (token, reply) g.g_out;
   Mutex.unlock g.g_out_lock;
   wake g
 
 let admit g s (m : msg) =
-  let deliver = push_reply g s m.m_token in
+  let deliver = push_reply g m.m_token in
   match m.m_shed with
   | Some reason -> Engine.shed_request s.s_engine m.m_req deliver ~reason
   | None ->
