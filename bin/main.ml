@@ -694,57 +694,19 @@ let socket_arg =
 let serve_cmd =
   let doc =
     "Run the compile-and-run daemon: a unix-socket service accepting \
-     requests from named tenants, with a cross-request compilation cache, \
-     per-tenant warm device residency, admission control, per-request \
-     deadlines, transient-fault retry and per-tenant circuit breakers"
+     requests from named tenants, with a cross-request compilation cache \
+     of 128 modules, per-tenant warm device residency, admission control \
+     (past --max-queue, or once warm residency reaches 0.9 of \
+     --device-mem), per-request deadlines (50,000,000 fuel unless the \
+     request names one), up to 3 immediate retries of an injected fault, \
+     and per-tenant circuit breakers that trip after 3 consecutive \
+     device-path failures"
   in
   let max_queue_arg =
     Arg.(
       value & opt int Cgcm_serve.Engine.default_config.Cgcm_serve.Engine.max_queue
       & info [ "max-queue" ] ~docv:"N"
           ~doc:"Admission bound: shed requests beyond this queue depth")
-  in
-  let deadline_arg =
-    Arg.(
-      value
-      & opt int
-          Cgcm_serve.Engine.default_config.Cgcm_serve.Engine.default_deadline
-      & info [ "deadline" ] ~docv:"FUEL"
-          ~doc:
-            "Default per-request deadline, in interpreter fuel \
-             (instructions); a request's own deadline overrides it")
-  in
-  let max_retries_arg =
-    Arg.(
-      value
-      & opt int Cgcm_serve.Engine.default_config.Cgcm_serve.Engine.max_retries
-      & info [ "max-retries" ] ~docv:"N"
-          ~doc:"Extra attempts for injected (transient) driver faults")
-  in
-  let backoff_arg =
-    Arg.(
-      value
-      & opt float Cgcm_serve.Engine.default_config.Cgcm_serve.Engine.backoff_ms
-      & info [ "backoff-ms" ] ~docv:"MS"
-          ~doc:"Base backoff between retry attempts; doubles per attempt")
-  in
-  let threshold_arg =
-    Arg.(
-      value
-      & opt int
-          Cgcm_serve.Engine.default_config.Cgcm_serve.Engine.circuit_threshold
-      & info [ "circuit-threshold" ] ~docv:"N"
-          ~doc:
-            "Consecutive device-path failures that trip a tenant's \
-             circuit breaker (degrading it to CPU-only execution)")
-  in
-  let cache_arg =
-    Arg.(
-      value
-      & opt int
-          Cgcm_serve.Engine.default_config.Cgcm_serve.Engine.cache_capacity
-      & info [ "cache-entries" ] ~docv:"N"
-          ~doc:"Compiled-module LRU cache capacity")
   in
   let journal_arg =
     Arg.(
@@ -770,19 +732,12 @@ let serve_cmd =
              With 1 (the default) no domain is spawned: the socket loop \
              runs the one engine between its reads.")
   in
-  let f socket max_queue device_mem deadline max_retries backoff threshold
-      cache_entries faults journal_path shards =
+  let f socket max_queue device_mem faults journal_path shards =
     guarded @@ fun () ->
     let config =
       {
-        Cgcm_serve.Engine.default_config with
         Cgcm_serve.Engine.max_queue;
         device_mem = Option.value device_mem ~default:max_int;
-        default_deadline = deadline;
-        max_retries;
-        backoff_ms = backoff;
-        circuit_threshold = threshold;
-        cache_capacity = cache_entries;
         faults = parse_faults faults;
       }
     in
@@ -816,8 +771,7 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const f $ socket_arg $ max_queue_arg $ device_mem_arg $ deadline_arg
-      $ max_retries_arg $ backoff_arg $ threshold_arg $ cache_arg $ faults_arg
+      const f $ socket_arg $ max_queue_arg $ device_mem_arg $ faults_arg
       $ journal_arg $ shards_arg)
 
 let request_cmd =
@@ -949,8 +903,8 @@ let request_cmd =
 let chaos_cmd =
   let doc =
     "Kill-restart chaos harness for the serve daemon: fork a journal-armed \
-     daemon, drive a seeded request burst, kill -9 it mid-burst (optionally \
-     tearing the journal tail), restart it with recovery, and gate on \
+     daemon, drive a seeded request burst, kill -9 it mid-burst, tear the \
+     journal tail, restart it with recovery, and gate on \
      bit-identical replies, journal durability, zero invariant violations \
      and zero device leaks; failing schedules are shrunk to a minimal \
      reproduction"
@@ -973,12 +927,6 @@ let chaos_cmd =
       & info [ "dir" ] ~docv:"DIR"
           ~doc:"Working directory for sockets, journals and daemon logs")
   in
-  let no_torn_arg =
-    Arg.(
-      value & flag
-      & info [ "no-torn-tail" ]
-          ~doc:"Skip the injected torn journal record before the restart")
-  in
   let chaos_shards_arg =
     Arg.(
       value & opt int 1
@@ -988,7 +936,7 @@ let chaos_cmd =
              several shard journal segments are live, and recovery must \
              reassemble all of them")
   in
-  let f seeds requests dir no_torn shards =
+  let f seeds requests dir shards =
     guarded @@ fun () ->
     let failed = ref false in
     List.iter
@@ -997,7 +945,6 @@ let chaos_cmd =
           {
             (Cgcm_serve.Chaos.default_config ~seed ~dir) with
             Cgcm_serve.Chaos.ch_requests = requests;
-            ch_torn_tail = not no_torn;
             ch_shards = shards;
           }
         in
@@ -1027,8 +974,7 @@ let chaos_cmd =
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
-      const f $ seeds_arg $ requests_arg $ dir_arg $ no_torn_arg
-      $ chaos_shards_arg)
+      const f $ seeds_arg $ requests_arg $ dir_arg $ chaos_shards_arg)
 
 let main_cmd =
   let doc = "CGCM: automatic CPU-GPU communication management (PLDI 2011)" in

@@ -19,20 +19,14 @@ type config = {
   ch_seed : int;
   ch_requests : int;
   ch_dir : string;
-  ch_torn_tail : bool;
-  ch_timeout_ms : int;
   ch_shards : int;
 }
 
 let default_config ~seed ~dir =
-  {
-    ch_seed = seed;
-    ch_requests = 30;
-    ch_dir = dir;
-    ch_torn_tail = true;
-    ch_timeout_ms = 20_000;
-    ch_shards = 1;
-  }
+  { ch_seed = seed; ch_requests = 30; ch_dir = dir; ch_shards = 1 }
+
+(* Client-side budget for one request's reply. *)
+let timeout_ms = 20_000
 
 type schedule = { sc_reqs : Wire.request list; sc_kill_at : int }
 
@@ -258,9 +252,7 @@ let run_schedule cfg (sched : schedule) : outcome =
     (* pre-kill: drive sequentially, each reply checked on arrival *)
     (try
        for i = 0 to kill_at - 1 do
-         let rp =
-           Client.request ~timeout_ms:cfg.ch_timeout_ms ~socket_path reqs.(i)
-         in
+         let rp = Client.request ~timeout_ms ~socket_path reqs.(i) in
          incr pre_ok;
          check_reply "pre-kill" reqs.(i) rp;
          Hashtbl.replace vouched (vouch_key reqs.(i)) ()
@@ -294,8 +286,7 @@ let run_schedule cfg (sched : schedule) : outcome =
     | _, st -> vio "kill" ("first daemon ended with " ^ wexit st)
     | exception Unix.Unix_error _ -> ());
     (* --- corruption: the torn tail -------------------------------- *)
-    if cfg.ch_torn_tail then
-      append_torn_record (Journal.segment_path journal_path ~shards 0);
+    append_torn_record (Journal.segment_path journal_path ~shards 0);
     (* --- generation 2: recover and finish the schedule ------------ *)
     let pid2 =
       spawn_daemon ~socket_path ~journal_path ~log_path:(name "daemon2.log")
@@ -314,7 +305,7 @@ let run_schedule cfg (sched : schedule) : outcome =
       rewarmed := Json.int_field ~default:0 "rewarmed" stats;
       rec_tenants := Json.int_field ~default:0 "recovered_tenants" stats;
       if not recovered then vio "recovery" "stats do not report a recovery";
-      if cfg.ch_torn_tail && not !torn_replay then
+      if not !torn_replay then
         vio "recovery" "injected torn tail went undetected by replay";
       if !rec_modules < Hashtbl.length vouched then
         vio "recovery"
@@ -325,10 +316,7 @@ let run_schedule cfg (sched : schedule) : outcome =
          included (a real client would retry it) *)
       (try
          for i = kill_at to n - 1 do
-           let rp =
-             Client.request ~timeout_ms:cfg.ch_timeout_ms ~socket_path
-               reqs.(i)
-           in
+           let rp = Client.request ~timeout_ms ~socket_path reqs.(i) in
            incr post_ok;
            check_reply "post-recovery" reqs.(i) rp;
            if Hashtbl.mem vouched (vouch_key reqs.(i)) then

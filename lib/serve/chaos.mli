@@ -2,16 +2,16 @@
 
     Forks a real daemon (journal armed), drives a seeded request
     schedule over the unix socket, [kill -9]s the daemon at a seeded
-    request index — optionally appending a torn record to the journal,
-    as a crash mid-append would — then restarts it with recovery and
-    drives the rest of the schedule. The run gates on the crash-only
-    contract:
+    request index, appends a torn record to the journal, as a crash
+    mid-append would, then restarts it with recovery and drives the rest
+    of the schedule. Each request waits at most 20 s for its reply. The
+    run gates on the crash-only contract:
 
     - every [Ok] reply, before and after the kill, is bit-identical to
       a fresh single-shot [Pipeline.run] of the same (mode, source);
     - every compiled module a pre-kill reply vouched for is a cache
       [hit] after recovery (durability of the journaled recipe);
-    - recovery reports the torn tail when one was injected;
+    - recovery reports the injected torn tail;
     - both daemon generations shut down with zero device leaks and
       zero invariant violations (an unexpected daemon death is itself
       a violation).
@@ -28,8 +28,6 @@ type config = {
   ch_seed : int;
   ch_requests : int;  (** schedule length *)
   ch_dir : string;  (** working directory for socket/journal/logs *)
-  ch_torn_tail : bool;  (** append a torn record before the restart *)
-  ch_timeout_ms : int;  (** per-request client timeout *)
   ch_shards : int;
       (** shard count for the daemons under test: the kill lands while
           several per-shard journal segments are live, recovery must
@@ -39,7 +37,7 @@ type config = {
 }
 
 val default_config : seed:int -> dir:string -> config
-(** 30 requests, torn tail armed, 20 s request timeout, 1 shard. *)
+(** 30 requests, 1 shard. *)
 
 type schedule = {
   sc_reqs : Wire.request list;

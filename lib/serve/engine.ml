@@ -12,9 +12,8 @@
    - deadlines: every execution runs under a fuel budget (the request's
      own, else the daemon default), and fuel exhaustion becomes a typed
      [Deadline_exceeded] reply instead of an error;
-   - retry with backoff: injected (transient) driver faults re-run the
-     request with a fresh fault substream, up to a bound, with
-     exponential backoff accounted in the stats;
+   - retry: injected (transient) driver faults re-run the request at
+     once with a fresh fault substream, up to [max_retries] times;
    - circuit breaking: a tenant whose executions keep failing trips to
      [Open]; strict requests are rejected with [Circuit_open], the rest
      degrade to CPU-only (sequential) execution until a probation of
@@ -44,27 +43,25 @@ module Mem_backend = Cgcm_runtime.Mem_backend
 type config = {
   max_queue : int;  (* admission bound: shed beyond this queue depth *)
   device_mem : int;  (* daemon device capacity; [max_int] = unbounded *)
-  high_water : float;  (* warm-bytes fraction of capacity that sheds *)
-  default_deadline : int;  (* fuel budget for requests without one *)
-  max_retries : int;  (* extra attempts on injected transient faults *)
-  backoff_ms : float;  (* base backoff between attempts; doubles *)
-  circuit_threshold : int;  (* consecutive failures that trip a tenant *)
-  cache_capacity : int;  (* compiled-module LRU entries *)
   faults : Faults.spec option;  (* daemon-wide injected-fault plan *)
 }
 
-let default_config =
-  {
-    max_queue = 64;
-    device_mem = max_int;
-    high_water = 0.9;
-    default_deadline = 50_000_000;
-    max_retries = 3;
-    backoff_ms = 0.0;
-    circuit_threshold = 3;
-    cache_capacity = 128;
-    faults = None;
-  }
+let default_config = { max_queue = 64; device_mem = max_int; faults = None }
+
+(* Fuel budget for a request that names no deadline of its own. *)
+let default_deadline = 50_000_000
+
+(* Extra attempts on an injected (transient) fault. *)
+let max_retries = 3
+
+(* Consecutive circuit-countable failures that trip a tenant. *)
+let circuit_threshold = 3
+
+(* Compiled-module LRU entries. *)
+let cache_capacity = 128
+
+(* Warm-bytes share of [device_mem] past which admission sheds. *)
+let high_water = 0.9
 
 type breaker =
   | Closed
@@ -87,7 +84,6 @@ type stats = {
   mutable failed : int;
   mutable degraded_runs : int;
   mutable retries : int;
-  mutable backoff_total_ms : float;
   mutable circuit_trips : int;
 }
 
@@ -101,7 +97,6 @@ let zero_stats () =
     failed = 0;
     degraded_runs = 0;
     retries = 0;
-    backoff_total_ms = 0.0;
     circuit_trips = 0;
   }
 
@@ -120,7 +115,6 @@ let sum_stats (l : stats list) : stats =
       acc.failed <- acc.failed + s.failed;
       acc.degraded_runs <- acc.degraded_runs + s.degraded_runs;
       acc.retries <- acc.retries + s.retries;
-      acc.backoff_total_ms <- acc.backoff_total_ms +. s.backoff_total_ms;
       acc.circuit_trips <- acc.circuit_trips + s.circuit_trips)
     l;
   acc
@@ -193,7 +187,7 @@ type t = {
 let create ?(config = default_config) ?journal () =
   {
     cfg = config;
-    cache = Cache.create ~capacity:config.cache_capacity;
+    cache = Cache.create ~capacity:cache_capacity;
     res = Residency.create ~device_mem:config.device_mem ();
     queue = Queue.create ();
     tenants = Hashtbl.create 8;
@@ -352,7 +346,7 @@ let submit t (req : Wire.request) deliver =
   else if
     t.cfg.device_mem < max_int
     && float_of_int (Residency.warm_bytes t.res)
-       >= t.cfg.high_water *. float_of_int t.cfg.device_mem
+       >= high_water *. float_of_int t.cfg.device_mem
   then begin
     (* Shed, but also relieve: drop one LRU warm unit so the condition
        clears instead of rejecting every future request. *)
@@ -425,7 +419,7 @@ let execute t (req : Wire.request) ~mode =
   let fuel =
     match req.rq_deadline with
     | Some d -> max 1 d
-    | None -> t.cfg.default_deadline
+    | None -> default_deadline
   in
   let base_faults =
     match req.rq_faults with
@@ -465,10 +459,7 @@ let execute t (req : Wire.request) ~mode =
         || Residency.evict_lru_unit t.res
       then attempt n retries
       else O_failed (exn, retries)
-    | exception exn when is_injected exn && n <= t.cfg.max_retries ->
-      let pause = t.cfg.backoff_ms *. (2.0 ** float_of_int (n - 1)) in
-      t.stats.backoff_total_ms <- t.stats.backoff_total_ms +. pause;
-      if pause > 0.0 then Unix.sleepf (pause /. 1000.0);
+    | exception exn when is_injected exn && n <= max_retries ->
       t.stats.retries <- t.stats.retries + 1;
       attempt (n + 1) (retries + 1)
     | exception exn -> O_failed (exn, retries)
@@ -482,14 +473,14 @@ let execute t (req : Wire.request) ~mode =
 (* Degraded runs an open breaker serves before a half-open probe. *)
 let circuit_probation = 2
 
-let finish_breaker st ~threshold ~trips exn_opt =
+let finish_breaker st ~trips exn_opt =
   match exn_opt with
   | None ->
     st.t_consec <- 0;
     if st.t_breaker = Half_open then st.t_breaker <- Closed
   | Some exn when is_circuit_failure exn ->
     st.t_consec <- st.t_consec + 1;
-    if st.t_breaker = Half_open || st.t_consec >= threshold then begin
+    if st.t_breaker = Half_open || st.t_consec >= circuit_threshold then begin
       st.t_breaker <- Open circuit_probation;
       st.t_trips <- st.t_trips + 1;
       incr trips
@@ -531,8 +522,7 @@ let process_raw t (req : Wire.request) : Wire.reply =
         match outcome with
         | O_ok (r, retries) ->
           (if not degraded then
-             finish_breaker st ~threshold:t.cfg.circuit_threshold ~trips
-               None);
+             finish_breaker st ~trips None);
           if
             r.Interp.leaks.Runtime.resident_nonglobal <> 0
             || r.Interp.leaks.Runtime.leaked_dev_blocks <> 0
@@ -560,8 +550,7 @@ let process_raw t (req : Wire.request) : Wire.reply =
             Wire.Deadline_exceeded
         | O_failed (exn, retries) ->
           (if not degraded then
-             finish_breaker st ~threshold:t.cfg.circuit_threshold ~trips
-               (Some exn));
+             finish_breaker st ~trips (Some exn));
           t.stats.failed <- t.stats.failed + 1;
           let code, msg =
             match Diagnostics.classify exn with
@@ -711,11 +700,10 @@ let final_line_of ~(stats : stats) ~cross_evictions ~cache_hit_rate ~residual
   Printf.sprintf
     "serve: received=%d ok=%d shed=%d deadline=%d circuit_open=%d errors=%d \
      degraded=%d retries=%d trips=%d cross_evictions=%d cache_hit_rate=%.2f \
-     backoff_ms=%.1f device_leaks=%d"
+     device_leaks=%d"
     stats.received stats.ok stats.shed stats.deadline_exceeded
     stats.circuit_rejected stats.failed stats.degraded_runs stats.retries
-    stats.circuit_trips cross_evictions cache_hit_rate stats.backoff_total_ms
-    residual
+    stats.circuit_trips cross_evictions cache_hit_rate residual
 
 let final_line t ~residual =
   final_line_of ~stats:t.stats

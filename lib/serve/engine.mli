@@ -2,22 +2,22 @@
 
     Holds the robustness envelope — admission control with typed
     [Overloaded] sheds, per-request deadlines via the interpreter's fuel
-    budget, retry-with-backoff for injected transient faults, per-tenant
-    circuit breakers that degrade to CPU-only execution, and crash-only
-    invariant audits between requests — plus the cross-request compiled-
-    module LRU and the shared {!Residency} state. The socket server is a
-    thin shell over {!submit}/{!step}; tests drive the engine directly. *)
+    budget, immediate retry of injected transient faults under a fresh
+    fault substream, per-tenant circuit breakers that degrade to
+    CPU-only execution, and crash-only invariant audits between
+    requests — plus the cross-request compiled-module LRU and the shared
+    {!Residency} state. The socket server is a thin shell over
+    {!submit}/{!step}; tests drive the engine directly.
+
+    The envelope's other settings are fixed: a request without its own
+    deadline gets 50,000,000 fuel; an injected fault is retried up to 3
+    times; 3 consecutive device-path failures trip a tenant's breaker;
+    the LRU holds 128 modules; and admission sheds once warm residency
+    reaches 0.9 of [device_mem]. *)
 
 type config = {
   max_queue : int;  (** admission bound: shed beyond this queue depth *)
   device_mem : int;  (** daemon device capacity; [max_int] = unbounded *)
-  high_water : float;  (** warm-bytes fraction of capacity that sheds *)
-  default_deadline : int;  (** fuel budget for requests without one *)
-  max_retries : int;  (** extra attempts on injected transient faults *)
-  backoff_ms : float;  (** base backoff between attempts; doubles *)
-  circuit_threshold : int;
-      (** consecutive circuit-countable failures that trip a tenant *)
-  cache_capacity : int;  (** compiled-module LRU entries *)
   faults : Cgcm_gpusim.Faults.spec option;
       (** daemon-wide injected-fault plan; each execution attempt gets a
           derived seed substream *)
@@ -36,7 +36,6 @@ type stats = {
   mutable failed : int;
   mutable degraded_runs : int;  (** CPU-only runs under an open breaker *)
   mutable retries : int;
-  mutable backoff_total_ms : float;
   mutable circuit_trips : int;
 }
 
@@ -117,7 +116,7 @@ val shutdown : t -> int
 val final_line : t -> residual:int -> string
 (** The daemon's final stats line: received/ok/shed/deadline/
     circuit_open/errors/degraded/retries/trips/cross-evictions/cache hit
-    rate/backoff/leaks. *)
+    rate/leaks. *)
 
 val final_line_of :
   stats:stats ->

@@ -61,7 +61,6 @@ type t = {
       (* every socket read lands here; the decoder copies what it keeps *)
   log : string -> unit;
   read_deadline_s : float;
-  drain_grace_s : float;
   mutable stopping : bool;
   mutable draining : bool;
   mutable listening : bool;
@@ -71,6 +70,9 @@ type t = {
    the ground; past this, it is dropped. Generous: dozens of max-size
    frames. *)
 let max_conn_out_bytes = 64 * 1024 * 1024
+
+(* How long the graceful drain may take before teardown. *)
+let drain_grace_s = 10.0
 
 (* Probe an existing socket file: a connect that succeeds means a live
    daemon owns the name; ECONNREFUSED (or a vanished file) means a
@@ -85,8 +87,7 @@ let socket_live path =
       | exception Unix.Unix_error _ -> false)
 
 let create ?(engine_config = Engine.default_config) ?journal_path ?(shards = 1)
-    ?(read_deadline_s = 10.0) ?(drain_grace_s = 10.0) ?(log = ignore)
-    ~socket_path () =
+    ?(read_deadline_s = 10.0) ?(log = ignore) ~socket_path () =
   (if Sys.file_exists socket_path then
      if socket_live socket_path then
        raise (Errors.Serve_socket_busy { sb_path = socket_path })
@@ -112,7 +113,6 @@ let create ?(engine_config = Engine.default_config) ?journal_path ?(shards = 1)
     rbuf = Bytes.create 8192;
     log;
     read_deadline_s;
-    drain_grace_s;
     stopping = false;
     draining = false;
     listening = true;
@@ -161,15 +161,43 @@ let flush_conn t c =
   | Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _) -> ()
   | Unix.Unix_error _ -> drop_conn t c
 
+let error_frame msg : Json.t =
+  Obj [ ("status", Json.Str "error"); ("error", Json.Str msg) ]
+
 (* Deliver a typed last-words error frame, then drop: a misbehaving
    peer learns why instead of seeing a bare hangup. Best-effort — the
    flush takes whatever the socket accepts right now. *)
 let send_error_and_drop t c msg =
-  send t c (Obj [ ("status", Json.Str "error"); ("error", Json.Str msg) ]);
+  send t c (error_frame msg);
   if Hashtbl.mem t.conns c.fd then begin
     flush_conn t c;
     drop_conn t c
   end
+
+(* The counters the stats op and the final line report, summed over
+   the shards' engines. *)
+type totals = {
+  stats : Engine.stats;
+  hits : int;
+  misses : int;
+  hit_rate : float;
+  cross_evictions : int;
+}
+
+let totals engines =
+  let sum f = Array.fold_left (fun acc e -> acc + f e) 0 engines in
+  let hits = sum (fun e -> (Engine.cache_stats e).Cache.hits) in
+  let misses = sum (fun e -> (Engine.cache_stats e).Cache.misses) in
+  {
+    stats = Engine.sum_stats (Array.to_list (Array.map Engine.stats engines));
+    hits;
+    misses;
+    hit_rate =
+      (if hits + misses = 0 then 0.0
+       else float_of_int hits /. float_of_int (hits + misses));
+    cross_evictions =
+      sum (fun e -> Residency.cross_evictions (Engine.residency e));
+  }
 
 (* Aggregated across shards. Off the router's domain these are racy
    reads of word-sized counters — stale but never torn (OCaml memory
@@ -180,20 +208,9 @@ let send_error_and_drop t c msg =
 let stats_json t : Json.t =
   let gc = Gc.quick_stat () in
   let engines = Shard.engines t.shards in
+  let tot = totals engines in
+  let s = tot.stats in
   let el = Array.to_list engines in
-  let s = Engine.sum_stats (List.map Engine.stats el) in
-  let hits, misses =
-    List.fold_left
-      (fun (h, m) e ->
-        let c = Engine.cache_stats e in
-        (h + c.Cache.hits, m + c.Cache.misses))
-      (0, 0) el
-  in
-  let hit_rate =
-    if hits + misses = 0 then 0.0
-    else float_of_int hits /. float_of_int (hits + misses)
-  in
-  let sum f = List.fold_left (fun acc e -> acc + f e) 0 el in
   let journal_stats =
     List.filter_map (fun e -> Option.map Journal.stats (Engine.journal e)) el
   in
@@ -211,14 +228,15 @@ let stats_json t : Json.t =
        ("retries", Json.Int s.Engine.retries);
        ("trips", Json.Int s.Engine.circuit_trips);
        ("pending", Json.Int t.inflight);
-       ("cache_hits", Json.Int hits);
-       ("cache_misses", Json.Int misses);
-       ("cache_hit_rate", Json.Float hit_rate);
+       ("cache_hits", Json.Int tot.hits);
+       ("cache_misses", Json.Int tot.misses);
+       ("cache_hit_rate", Json.Float tot.hit_rate);
        ( "warm_bytes",
-         Json.Int (sum (fun e -> Residency.warm_bytes (Engine.residency e))) );
-       ( "cross_evictions",
          Json.Int
-           (sum (fun e -> Residency.cross_evictions (Engine.residency e))) );
+           (List.fold_left
+              (fun acc e -> acc + Residency.warm_bytes (Engine.residency e))
+              0 el) );
+       ("cross_evictions", Json.Int tot.cross_evictions);
        ("draining", Json.Bool t.draining);
        ("gc_minor_collections", Json.Int gc.Gc.minor_collections);
        ("gc_major_collections", Json.Int gc.Gc.major_collections);
@@ -248,27 +266,28 @@ let stats_json t : Json.t =
       ]
     | None -> [])
 
+(* A frame that decodes but is no valid request is answered with a
+   typed error on its own connection; the frame boundary is intact, so
+   the peer may go on sending. *)
 let handle_frame t c (v : Json.t) =
   match Json.str_field ~default:"run" "op" v with
-  | "run" ->
-    let req = Wire.request_of_json v in
-    let shed = if t.draining then Some "draining" else None in
-    t.inflight <- t.inflight + 1;
-    Shard.post t.shards
-      ~shard:(Shard.shard_of t.shards req.Wire.rq_tenant)
-      ~token:c.token ?shed req
+  | "run" -> (
+    match Wire.request_of_json v with
+    | req ->
+      let shed = if t.draining then Some "draining" else None in
+      t.inflight <- t.inflight + 1;
+      Shard.post t.shards
+        ~shard:(Shard.shard_of t.shards req.Wire.rq_tenant)
+        ~token:c.token ?shed req
+    | exception Wire.Protocol_error msg ->
+      t.log (Printf.sprintf "serve: malformed request: %s" msg);
+      send t c (error_frame ("cgcm serve: protocol error: " ^ msg)))
   | "ping" -> send t c (Obj [ ("status", Json.Str "ok") ])
   | "stats" -> send t c (stats_json t)
   | "shutdown" ->
     t.stopping <- true;
     send t c (Obj [ ("status", Json.Str "ok"); ("stopping", Json.Bool true) ])
-  | op ->
-    send t c
-      (Obj
-         [
-           ("status", Json.Str "error");
-           ("error", Json.Str (Printf.sprintf "unknown op %S" op));
-         ])
+  | op -> send t c (error_frame (Printf.sprintf "unknown op %S" op))
 
 let read_conn t c =
   match Unix.read c.fd t.rbuf 0 (Bytes.length t.rbuf) with
@@ -422,7 +441,7 @@ let run t =
   t.draining <- true;
   close_listener t;
   t.log "serve: draining (in-flight requests finish, new work is shed)";
-  let deadline = Unix.gettimeofday () +. t.drain_grace_s in
+  let deadline = Unix.gettimeofday () +. drain_grace_s in
   while
     (t.inflight > 0 || pending_writes t)
     && Unix.gettimeofday () < deadline
@@ -435,26 +454,10 @@ let run t =
   Hashtbl.reset t.by_token;
   close_listener t;
   let residual = Shard.stop t.shards in
-  let el = Array.to_list (Shard.engines t.shards) in
-  let stats = Engine.sum_stats (List.map Engine.stats el) in
-  let hits, misses =
-    List.fold_left
-      (fun (h, m) e ->
-        let c = Engine.cache_stats e in
-        (h + c.Cache.hits, m + c.Cache.misses))
-      (0, 0) el
-  in
-  let cache_hit_rate =
-    if hits + misses = 0 then 0.0
-    else float_of_int hits /. float_of_int (hits + misses)
-  in
-  let cross_evictions =
-    List.fold_left
-      (fun acc e -> acc + Residency.cross_evictions (Engine.residency e))
-      0 el
-  in
+  let tot = totals (Shard.engines t.shards) in
   let line =
-    Engine.final_line_of ~stats ~cross_evictions ~cache_hit_rate ~residual
+    Engine.final_line_of ~stats:tot.stats ~cross_evictions:tot.cross_evictions
+      ~cache_hit_rate:tot.hit_rate ~residual
   in
   t.log line;
   (line, residual)

@@ -13,6 +13,10 @@
     stall mid-frame or never read their replies are dropped with a
     typed error frame.
 
+    A "run" frame that is no valid request (no [source], or not a JSON
+    object) is answered with a typed [{"status":"error"}] frame on its
+    own connection, which stays open.
+
     Ops besides "run": "ping", "shutdown" and "stats". The "stats"
     reply sums the shards' engine counters (received, ok, shed, cache
     hits and misses, warm bytes, ...). Its [pending] is the router's
@@ -33,7 +37,6 @@ val create :
   ?journal_path:string ->
   ?shards:int ->
   ?read_deadline_s:float ->
-  ?drain_grace_s:float ->
   ?log:(string -> unit) ->
   socket_path:string ->
   unit ->
@@ -45,8 +48,9 @@ val create :
     [journal_path] makes each shard replay, re-create and recover its
     own journal segment before serving ({!Journal.segment_path} — the
     base path itself when [shards = 1]). [read_deadline_s] (default
-    10) bounds how long a peer may hold a frame open (slow-loris);
-    [drain_grace_s] (default 10) bounds the graceful drain. *)
+    10) bounds how long a peer may hold a frame open (slow-loris); the
+    slow-loris test sets 0.2 so that it finishes in a fraction of a
+    second. The graceful drain is bounded at 10 s. *)
 
 val engine : t -> Engine.t
 (** Shard 0's engine. With [shards > 1] this is only safe for racy stat

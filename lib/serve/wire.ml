@@ -211,15 +211,17 @@ let request_to_json r : Json.t =
     | None -> [])
 
 let request_of_json v =
-  {
-    rq_id = Json.int_field ~default:0 "id" v;
-    rq_tenant = Json.str_field ~default:"anonymous" "tenant" v;
-    rq_source = Json.str_field "source" v;
-    rq_mode = Json.str_field ~default:"opt" "mode" v;
-    rq_deadline = Json.opt_int_field "deadline" v;
-    rq_strict = Json.bool_field ~default:false "strict" v;
-    rq_faults = Json.opt_str_field "faults" v;
-  }
+  try
+    {
+      rq_id = Json.int_field ~default:0 "id" v;
+      rq_tenant = Json.str_field ~default:"anonymous" "tenant" v;
+      rq_source = Json.str_field "source" v;
+      rq_mode = Json.str_field ~default:"opt" "mode" v;
+      rq_deadline = Json.opt_int_field "deadline" v;
+      rq_strict = Json.bool_field ~default:false "strict" v;
+      rq_faults = Json.opt_str_field "faults" v;
+    }
+  with Json.Parse_error msg -> raise (Protocol_error ("bad request: " ^ msg))
 
 let reply_to_json r : Json.t =
   Obj

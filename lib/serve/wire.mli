@@ -75,5 +75,8 @@ type reply = {
 
 val request_to_json : request -> Json.t
 val request_of_json : Json.t -> request
+(** Raises {!Protocol_error} on a value without a string [source],
+    such as one that is not an object. *)
+
 val reply_to_json : reply -> Json.t
 val reply_of_json : Json.t -> reply

@@ -122,6 +122,33 @@ let test_gramschmidt_stays_cyclic () =
   in
   check Alcotest.bool "cyclic growth" true (run 12 > run 6 + 3)
 
+(* [Registry.all] substitutes every suite template when a process
+   starts, so [subst] must not allocate per character it scans: its
+   minor words stay under half the template's length. *)
+let test_template_subst_allocation () =
+  let line = "  for (int i = 0; i < @N; i++) { a[i] = a[i] + @STEPS; }\n" in
+  let expand n steps =
+    String.concat ""
+      (List.init 24 (fun _ ->
+           Printf.sprintf "  for (int i = 0; i < %d; i++) { a[i] = a[i] + %d; }\n"
+             n steps))
+  in
+  let template = String.concat "" (List.init 24 (fun _ -> line)) in
+  let pairs = [ ("N", 64); ("STEPS", 3) ] in
+  check Alcotest.string "placeholders replaced" (expand 64 3)
+    (Cgcm_progs.Template.subst pairs template);
+  check Alcotest.string "@N never matches inside @NX" "@NX 7"
+    (Cgcm_progs.Template.subst [ ("N", 7) ] "@NX @N");
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Cgcm_progs.Template.subst pairs template));
+  let words = Gc.minor_words () -. before in
+  let n = String.length template in
+  check Alcotest.bool
+    (Printf.sprintf "%.0f minor words for a %d-char template, under n/2" words
+       n)
+    true
+    (words < float_of_int n /. 2.0)
+
 let tests =
   [
     Alcotest.test_case "kernel counts + applicability" `Quick
@@ -131,4 +158,6 @@ let tests =
       test_time_loop_programs_are_cyclic_unoptimized;
     Alcotest.test_case "gramschmidt stays cyclic" `Quick
       test_gramschmidt_stays_cyclic;
+    Alcotest.test_case "template substitution allocates per result, not per char"
+      `Quick test_template_subst_allocation;
   ]

@@ -11,8 +11,8 @@
      device-memory shed evicts warmth so the daemon degrades instead of
      wedging;
    - deadlines: fuel exhaustion becomes [Deadline_exceeded]/exit 10;
-   - retry with backoff: injected transient faults re-run and still
-     produce the fault-free output;
+   - retry: injected transient faults re-run and still produce the
+     fault-free output;
    - the per-tenant circuit breaker: trips after consecutive failures,
      rejects strict requests with [Circuit_open]/exit 11, degrades the
      rest to CPU-only runs, and heals through probation and a half-open
@@ -283,11 +283,10 @@ let test_admission_queue_shed () =
   check Alcotest.int "clean shutdown" 0 (Engine.shutdown eng)
 
 let test_admission_device_mem_shed_and_relief () =
-  (* Warm residency past the high-water mark, then watch admission shed
-     and the relief eviction clear the pressure. *)
-  let config =
-    { Engine.default_config with device_mem = 8192; high_water = 0.3 }
-  in
+  (* Warm residency past the high-water mark (0.9 of device_mem), then
+     watch admission shed and the relief eviction clear the pressure.
+     The three warming runs leave 3,072 warm bytes, past 0.9 of 3,200. *)
+  let config = { Engine.default_config with device_mem = 3200 } in
   let eng = Engine.create ~config () in
   (* process (not submit) so admission is not in the way while warming:
      each opt run leaves its tenant's globals device-resident *)
@@ -302,7 +301,7 @@ let test_admission_device_mem_shed_and_relief () =
   let res = Engine.residency eng in
   check Alcotest.bool "warm past high water" true
     (float_of_int (Residency.warm_bytes res)
-    >= 0.3 *. float_of_int 8192);
+    >= 0.9 *. float_of_int 3200);
   let replies = ref [] in
   let deliver r = replies := r :: !replies in
   let rec admit tries id =
@@ -352,7 +351,7 @@ let test_deadline () =
   check Alcotest.int "clean shutdown" 0 (Engine.shutdown eng)
 
 (* ------------------------------------------------------------------ *)
-(* Retry with backoff                                                  *)
+(* Retry                                                               *)
 
 let test_retry_preserves_output () =
   (* Injected transient faults are retried with a fresh fault substream;
@@ -388,14 +387,7 @@ let test_retry_preserves_output () =
 (* The per-tenant circuit breaker                                      *)
 
 let test_circuit_breaker_lifecycle () =
-  let config =
-    {
-      Engine.default_config with
-      max_retries = 0;
-      circuit_threshold = 3;
-    }
-  in
-  let eng = Engine.create ~config () in
+  let eng = Engine.create () in
   let src = Loadgen.source ~variant:0 in
   let poison id =
     Engine.process eng
@@ -639,12 +631,8 @@ let test_engine_audit_growing_residency () =
 let test_soak () =
   let config =
     {
-      Engine.default_config with
-      max_queue = 6;
+      Engine.max_queue = 6;
       device_mem = 64 * 1024;
-      max_retries = 3;
-      backoff_ms = 0.0;
-      circuit_threshold = 3;
       faults = Some (Cgcm_gpusim.Faults.parse "13:htod%0.05,launch%0.05,alloc%0.03");
     }
   in
@@ -944,11 +932,8 @@ let test_journal_snapshot_rotation () =
 
 let test_engine_recovery () =
   let path = tmp_path "journal-recovery" in
-  let config =
-    { Engine.default_config with max_retries = 0; circuit_threshold = 3 }
-  in
   let j1 = Journal.create ~path () in
-  let eng1 = Engine.create ~config ~journal:j1 () in
+  let eng1 = Engine.create ~journal:j1 () in
   let src0 = Loadgen.source ~variant:0 and src1 = Loadgen.source ~variant:1 in
   check_status "first ok" Wire.Ok
     (Engine.process eng1 (request ~id:1 ~tenant:"t0" ~mode:"opt" src0));
@@ -972,7 +957,7 @@ let test_engine_recovery () =
   | Some rp ->
     check Alcotest.bool "clean log replays untorn" false rp.Journal.rp_torn;
     let j2 = Journal.create ~initial:rp.Journal.rp_state ~path () in
-    let eng2 = Engine.create ~config ~journal:j2 () in
+    let eng2 = Engine.create ~journal:j2 () in
     let r = Engine.recover eng2 rp in
     check Alcotest.bool "both modules recompiled" true (r.Engine.rec_compiled >= 2);
     check Alcotest.bool "warm manifest re-established" true
@@ -1189,14 +1174,14 @@ let test_sum_stats () =
     {
       received = 10; ok = 6; shed = 2; deadline_exceeded = 1;
       circuit_rejected = 1; failed = 0; degraded_runs = 3; retries = 4;
-      backoff_total_ms = 1.5; circuit_trips = 1;
+      circuit_trips = 1;
     }
   in
   let b : Engine.stats =
     {
       received = 7; ok = 5; shed = 0; deadline_exceeded = 2;
       circuit_rejected = 0; failed = 0; degraded_runs = 0; retries = 1;
-      backoff_total_ms = 0.25; circuit_trips = 0;
+      circuit_trips = 0;
     }
   in
   let s = Engine.sum_stats [ a; b ] in
@@ -1207,7 +1192,6 @@ let test_sum_stats () =
   check Alcotest.int "circuit" 1 s.Engine.circuit_rejected;
   check Alcotest.int "degraded" 3 s.Engine.degraded_runs;
   check Alcotest.int "retries" 5 s.Engine.retries;
-  check (Alcotest.float 1e-9) "backoff" 1.75 s.Engine.backoff_total_ms;
   check Alcotest.int "trips" 1 s.Engine.circuit_trips;
   (match
      Engine.sum_recoveries
@@ -1588,6 +1572,40 @@ let test_overload_typed_replies () =
         (Json.int_field "ok" st + Json.int_field "shed" st))
     [ 1; 2 ]
 
+(* A "run" frame that is no valid request, one without a source and one
+   that is not even an object, gets a typed error on its own connection;
+   the daemon, that connection and every other one go on being served. *)
+let test_malformed_run_frame () =
+  List.iter
+    (fun shards ->
+      with_daemon ~shards "malformed.sock" @@ fun path ->
+      with_conn path @@ fun fd ->
+      let roundtrip frame =
+        Wire.write_frame fd frame;
+        Client.read_frame_deadline fd ~socket_path:path ~timeout_ms:5_000
+      in
+      List.iter
+        (fun (what, frame) ->
+          let reply = roundtrip frame in
+          let n s = Printf.sprintf "%d shard(s), %s: %s" shards what s in
+          check Alcotest.string (n "typed error") "error"
+            (Json.str_field ~default:"" "status" reply);
+          check Alcotest.bool (n "names the protocol error") true
+            (contains ~affix:"protocol error: bad request"
+               (Json.str_field ~default:"" "error" reply)))
+        [
+          ( "no source",
+            Obj [ ("op", Json.Str "run"); ("tenant", Json.Str "x") ] );
+          ("not an object", Json.List [ Json.Int 1 ]);
+        ];
+      check Alcotest.string "the same connection still answers" "ok"
+        (Json.str_field ~default:""
+           "status"
+           (roundtrip (Obj [ ("op", Json.Str "ping") ])));
+      check Alcotest.bool "other connections still answered" true
+        (Client.ping ~socket_path:path))
+    [ 1; 2 ]
+
 (* ------------------------------------------------------------------ *)
 (* Request-path allocation: a cache hit must not allocate on the major  *)
 (* heap, where every collection stops every domain                      *)
@@ -1707,4 +1725,6 @@ let tests =
       test_stats_pending_counts_once;
     Alcotest.test_case "overload: one typed reply per request at 1 and 2 shards"
       `Quick test_overload_typed_replies;
+    Alcotest.test_case "malformed run frames get a typed error at 1 and 2 shards"
+      `Quick test_malformed_run_frame;
   ]
